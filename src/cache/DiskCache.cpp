@@ -39,6 +39,9 @@ bool readFile(const std::string &Path, std::string &Out) {
 }
 
 std::atomic<uint64_t> OpenCounter{0};
+/// Uniquifies tmp/ and quarantine/ names across every handle in the
+/// process (the pid separates processes).
+std::atomic<uint64_t> NextTmpId{0};
 
 } // namespace
 
@@ -60,6 +63,14 @@ std::string DiskCache::entryPath(uint64_t Key, Kind K) const {
           strFormat("%02x", static_cast<unsigned>(FileKey >> 56)) /
           strFormat("%016llx.%s", static_cast<unsigned long long>(FileKey),
                     Ext))
+      .string();
+}
+
+std::string DiskCache::tmpPath(uint64_t Key) const {
+  return (fs::path(Dir) / "tmp" /
+          strFormat("%d.%llu.%016llx", static_cast<int>(::getpid()),
+                    static_cast<unsigned long long>(NextTmpId.fetch_add(1)),
+                    static_cast<unsigned long long>(Key)))
       .string();
 }
 
@@ -124,13 +135,7 @@ void DiskCache::storeEntry(uint64_t Key, Kind K, const std::string &Payload) {
   std::string Final = entryPath(Key, K);
   std::error_code EC;
   fs::create_directories(fs::path(Final).parent_path(), EC);
-  std::string Tmp =
-      (fs::path(Dir) / "tmp" /
-       strFormat("%d.%llu.%016llx",
-                 static_cast<int>(::getpid()),
-                 static_cast<unsigned long long>(NextTmpId.fetch_add(1)),
-                 static_cast<unsigned long long>(Key)))
-          .string();
+  std::string Tmp = tmpPath(Key);
   {
     std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
     OutF.write(W.buffer().data(),

@@ -107,6 +107,11 @@ public:
   /// tools can inspect, corrupt, or count entries.
   std::string entryPath(uint64_t Key, Kind K) const;
 
+  /// Mints a fresh staging file name for one write of \p Key:
+  /// tmp/<pid>.<n>.<key>, where n comes from a process-wide counter, so
+  /// two handles on one directory never stage into the same file.
+  std::string tmpPath(uint64_t Key) const;
+
   /// Creates a fresh, uniquely named cache directory under the system
   /// temp directory (tests and benches).
   static std::string makeTempDir(const std::string &Prefix);
@@ -123,7 +128,6 @@ private:
 
   std::string Dir;
   bool Valid = false;
-  std::atomic<uint64_t> NextTmpId{0};
   std::atomic<uint64_t> SimHits{0}, SimMisses{0};
   std::atomic<uint64_t> TextHits{0}, TextMisses{0};
   std::atomic<uint64_t> Writes{0}, WriteErrors{0};

@@ -117,9 +117,7 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   // announced, and the last announcement on each return path is final. A
   // HookFactory binds to this compiler's engine, which in a search task is
   // the task's own — that's what keeps hooked searches parallel.
-  StageHook Hook = Opt.Hook;
-  if (!Hook && Opt.HookFactory)
-    Hook = Opt.HookFactory(Diags);
+  StageHook Hook = Opt.HookFactory ? Opt.HookFactory(Diags) : StageHook();
   auto Stage = [&](const char *StageName, bool Final = false) {
     if (Hook)
       Hook(StageName, *V, Final);
@@ -255,9 +253,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   if (Opt.Merge && Out.Plan.anyThreadMerge())
     ThreadMs = {1, 4, 8, 16, 32};
 
-  // The affine layout dimension (outermost). Camping-free kernels get the
-  // identity alone, so their candidate set — and their search cost — is
-  // unchanged by layout mode.
+  // The affine layout dimension (outermost). Kernels that camp at no
+  // probed stride get the identity alone, so their candidate set — and
+  // their search cost — is unchanged by layout mode.
   std::vector<LayoutPoint> Layouts{LayoutPoint::identityPoint()};
   if (LayoutMode)
     Layouts = enumerateLayouts(*Probe, Opt.Device, Scan);
@@ -305,13 +303,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
         }
   }
 
-  // The stage hook (the sanitizer layer) observes every intermediate
-  // kernel through shared state; keep its invocation order defined by
-  // searching serially whenever one is installed.
   unsigned Jobs = Opt.Jobs <= 0 ? ThreadPool::defaultConcurrency()
                                 : static_cast<unsigned>(Opt.Jobs);
-  if (Opt.Hook)
-    Jobs = 1;
   ThreadPool Pool(Jobs);
 
   SimCache LocalCache;

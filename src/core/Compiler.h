@@ -48,12 +48,12 @@ class DiskCache;
 using StageHook =
     std::function<void(const char *Stage, KernelFunction &K, bool Final)>;
 
-/// Makes a task-local StageHook reporting into the given engine. Unlike a
-/// plain Hook, a factory keeps the design-space search parallel: each
-/// search task calls it once with its own DiagnosticsEngine, and the
-/// task diagnostics are replayed into the caller's engine in canonical
-/// slot order with exact duplicates collapsed — so the diagnostic stream
-/// is byte-identical for every lane count.
+/// Makes a task-local StageHook reporting into the given engine. A factory
+/// keeps the design-space search parallel: every compileVariant call
+/// makes its own hook, a search task with its own DiagnosticsEngine, and
+/// the task diagnostics are replayed into the caller's engine in
+/// canonical slot order with exact duplicates collapsed — so the
+/// diagnostic stream is byte-identical for every lane count.
 using StageHookFactory = std::function<StageHook(DiagnosticsEngine &Diags)>;
 
 /// The stage names compileVariant announces to StageHook, in announcement
@@ -78,18 +78,19 @@ struct CompileOptions {
   /// candidates run the legacy eliminatePartitionCamping arm (kept for
   /// the bench baseline and Figure 12 dissection). Ignored when
   /// PartitionElim is off. The family is only enumerated when camping is
-  /// detected or possible under block merging, so camping-free kernels
-  /// search the identity alone and pay nothing.
+  /// detected or possible under block merging; a kernel that camps at no
+  /// probed stride searches the identity alone. One that camps only under
+  /// merging still searches the family (mm: 4 points, 80 candidates
+  /// instead of 20, identity wins).
   bool LayoutSearch = true;
   /// Algebraic cleanup of the emitted code (understandability).
   bool Fold = true;
   /// Re-verify structural invariants after the pipeline (violations are
   /// reported as errors).
   bool Verify = true;
-  /// Per-stage observer; null disables it.
-  StageHook Hook;
-  /// Parallel-safe per-stage observer (see StageHookFactory); preferred
-  /// over Hook for the sanitizer layer. Ignored when Hook is set.
+  /// Per-stage observer (see StageHookFactory); null disables it. An
+  /// observer that needs a defined invocation order across variants sets
+  /// Jobs = 1.
   StageHookFactory HookFactory;
   /// Reject search candidates the abstract-interpretation engine
   /// (analysis/Dataflow.h) proves will fault — an out-of-bounds access or
@@ -101,9 +102,7 @@ struct CompileOptions {
   /// Lanes for the design-space search (compiling/simulating candidate
   /// variants concurrently). 0 = hardware concurrency, 1 = serial. A
   /// serial search and a parallel one select the same best variant and
-  /// produce identical output (see DESIGN.md §4). When Hook is set the
-  /// search runs serially regardless: the hook observes every stage of
-  /// every variant in a defined order.
+  /// produce identical output (see DESIGN.md §4).
   int Jobs = 0;
   /// Simulate every feasible candidate instead of pruning by the cheap
   /// lower-bound probe. Slower; selects the same winner (test-enforced).

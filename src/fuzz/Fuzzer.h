@@ -58,7 +58,8 @@ struct FuzzOptions {
   /// disables writing.
   std::string OutDir;
   /// Oracle configuration. InputSeed is remixed per seed for input
-  /// diversity; Hook/Jobs are owned by the oracle (see OracleOptions).
+  /// diversity; HookFactory/Jobs are owned by the oracle (see
+  /// OracleOptions).
   OracleOptions Oracle;
 };
 

@@ -164,6 +164,14 @@ bool runVariant(const Simulator &Sim, const KernelFunction &K,
   return Ok;
 }
 
+/// The oracle's own compiles carry the test-only fault injection (if any)
+/// as their stage hook.
+StageHookFactory injectFactory(const OracleOptions &Opt) {
+  if (!Opt.Inject)
+    return nullptr;
+  return [Inject = Opt.Inject](DiagnosticsEngine &) { return Inject; };
+}
+
 /// Re-compiles one variant with a snapshot hook and blames the first
 /// stage whose intermediate kernel diverges from the reference outputs
 /// (or fails to run / races, matching the original failure mode).
@@ -178,10 +186,12 @@ std::string attributeStage(const KernelFunction &Naive,
 
   std::vector<std::pair<std::string, KernelFunction *>> Snaps;
   CompileOptions O = Opt.Compile;
-  O.Hook = [&](const char *Stage, KernelFunction &K, bool Final) {
-    if (Opt.Inject)
-      Opt.Inject(Stage, K, Final);
-    Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
+  O.HookFactory = [&](DiagnosticsEngine &) -> StageHook {
+    return [&](const char *Stage, KernelFunction &K, bool Final) {
+      if (Opt.Inject)
+        Opt.Inject(Stage, K, Final);
+      Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
+    };
   };
   GC.compileVariant(Naive, O, BlockN, ThreadM);
 
@@ -430,7 +440,7 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
   // the injected fault (if any) rides inside it.
   CompileOptions CO = Opt.Compile;
   CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
+  CO.HookFactory = injectFactory(Opt);
   DiagnosticsEngine CompDiags;
   GpuCompiler GC(M, CompDiags);
   CompileOutput Out = GC.compile(Naive, CO);
@@ -582,7 +592,7 @@ OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
 
   CompileOptions CO = Opt.Compile;
   CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
+  CO.HookFactory = injectFactory(Opt);
 
   // Identity probe at unit merge factors: yields the post-pipeline launch
   // and the camping scan that seed the family enumeration.
@@ -713,7 +723,7 @@ OracleResult gpuc::runPipelineOracle(
   // Fusion legality + both sides of the design-space search.
   CompileOptions CO = Opt.Compile;
   CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
+  CO.HookFactory = injectFactory(Opt);
   DiagnosticsEngine CompDiags;
   GpuCompiler GC(M, CompDiags);
   ProgramCompileOutput Out = GC.compileProgram(Stages, CO);

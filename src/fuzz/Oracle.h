@@ -32,9 +32,9 @@
 namespace gpuc {
 
 struct OracleOptions {
-  /// Base pipeline configuration. Hook must be empty — the oracle owns
-  /// the hook slot (use Inject for fault injection); Jobs is forced to 1
-  /// (the fuzzer parallelizes across seeds, not inside a case).
+  /// Base pipeline configuration. HookFactory must be empty — the oracle
+  /// owns the hook slot (use Inject for fault injection); Jobs is forced
+  /// to 1 (the fuzzer parallelizes across seeds, not inside a case).
   CompileOptions Compile;
   /// Seed for the randomized input buffers.
   unsigned InputSeed = 0x9e3779b9u;

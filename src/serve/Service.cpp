@@ -68,9 +68,9 @@ struct JobModes {
         Dialect(J.Dialect == 1 ? PrintDialect::OpenCL
                                : PrintDialect::Cuda) {}
 
-  /// Mirror of gpucc's fastPathEligible(): the warm winner-replay may
-  /// only answer invocations whose output is exactly the cold run's
-  /// plain CUDA text (stored entries are diagnostics-clean).
+  /// The warm winner-replay may only answer jobs whose output is exactly
+  /// the cold run's plain CUDA text (stored entries are
+  /// diagnostics-clean).
   bool fastPathEligible(const CompileJob &J) const {
     return !Report && !Sanitize && !Lint && !PrintNaive && !SearchStats &&
            J.BlockN == 0 && J.ThreadM == 0 && Dialect == PrintDialect::Cuda;
@@ -84,71 +84,13 @@ std::string sanitizeSummaryLine(const SanitizeSummary &S) {
                    S.Unanalyzable);
 }
 
-/// Multi-kernel pipeline path (the input carried a
-/// '#pragma gpuc pipeline(...)' clause). Mirrors gpucc's
-/// runSinglePipeline minus --validate, which never rides the daemon.
-CompileResult runPipelineJob(const CompileJob &J, const ServiceContext &Ctx,
-                             CompileOptions &Opt, const JobModes &Modes,
-                             Module &M, DiagnosticsEngine &Diags,
-                             std::vector<KernelFunction *> &Stages) {
-  CompileResult R;
-  if (J.BlockN > 0 || J.ThreadM > 0 ||
-      Modes.Dialect != PrintDialect::Cuda) {
-    R.Code = 1;
-    R.Err = "gpucc: error: --block/--thread/--opencl are not "
-            "supported for multi-kernel pipelines\n";
-    return R;
-  }
-  std::vector<const KernelFunction *> CStages(Stages.begin(), Stages.end());
-  if (Modes.PrintNaive)
-    R.Out += strFormat("// ---- naive input ----\n%s\n",
-                       printNaiveProgram(CStages).c_str());
-
-  // Warm fast path, program level: replay the stored decision + text.
-  if (Ctx.Disk && Modes.fastPathEligible(J)) {
-    CachedCompile Cached;
-    if (Ctx.Disk->loadText(programCacheKey(CStages, Opt), Cached)) {
-      R.Out += Cached.KernelText;
-      R.WarmFastPath = 1;
-      return R;
-    }
-  }
-
-  SanitizeSummary SanSummary;
-  if (Modes.Sanitize || Modes.Lint) {
-    SanitizeOptions SanOpt;
-    SanOpt.Races = Modes.Sanitize;
-    SanOpt.Lint = Modes.Lint;
-    SanOpt.LintOpts.Strict = Modes.LintStrict;
-    attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
-  }
-
-  GpuCompiler GC(M, Diags);
-  ProgramCompileOutput Out = GC.compileProgram(CStages, Opt);
-  R.CritPathMs = Out.Search.CritPathMs;
-  const bool ChosenOk =
-      Out.UseFused
-          ? Out.FusedOut.Best != nullptr
-          : !Out.StageOuts.empty() &&
-                std::all_of(Out.StageOuts.begin(), Out.StageOuts.end(),
-                            [](const CompileOutput &C) { return C.Best; });
-  if (!ChosenOk || Diags.hasErrors()) {
-    R.Code = 1;
-    R.Err += Diags.str() + Diags.summary();
-    return R;
-  }
-  if (Diags.hasWarnings())
-    R.Err += Diags.str() + Diags.summary() + "\n";
-  if (Modes.Sanitize || Modes.Lint)
-    R.Err += sanitizeSummaryLine(SanSummary);
-
-  R.Out += Out.ProgramText;
-
-  if (Modes.Report)
-    R.Err += fusionReport(Out);
-  if (Modes.SearchStats)
-    R.Err += searchStatsReport(Out.Search);
-  return R;
+/// A pipeline compile succeeded when the chosen side has its kernels.
+bool programChosen(const ProgramCompileOutput &Out) {
+  if (Out.UseFused)
+    return Out.FusedOut.Best != nullptr;
+  return !Out.StageOuts.empty() &&
+         std::all_of(Out.StageOuts.begin(), Out.StageOuts.end(),
+                     [](const CompileOutput &C) { return C.Best; });
 }
 
 } // namespace
@@ -166,31 +108,47 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
   JobModes Modes(J);
 
   // Per-request isolation: the Module (AST arena) and DiagnosticsEngine
-  // live and die with this job; only the caches are shared.
-  Module M;
+  // live and die with this job (or with the caller's LocalCompile); only
+  // the caches are shared.
+  LocalCompile Scratch;
+  LocalCompile &L = Ctx.Local ? *Ctx.Local : Scratch;
   DiagnosticsEngine Diags;
   if (Modes.Werror)
     Diags.setWarningsAsErrors(true);
   Parser P(J.Source, Diags);
-  std::vector<KernelFunction *> Stages = P.parseProgram(M);
-  if (Stages.empty()) {
+  L.Stages = P.parseProgram(L.M);
+  if (L.Stages.empty()) {
     R.Code = 1;
     R.Err = Diags.str();
     return R;
   }
-  if (Stages.size() > 1)
-    return runPipelineJob(J, Ctx, Opt, Modes, M, Diags, Stages);
 
-  KernelFunction *Naive = Stages.front();
+  // An input with a '#pragma gpuc pipeline(...)' clause compiles as a
+  // multi-kernel program: fusion legality, both sides searched.
+  const bool Pipeline = L.Stages.size() > 1;
+  KernelFunction &Naive = *L.Stages.front();
+  std::vector<const KernelFunction *> CStages(L.Stages.begin(),
+                                              L.Stages.end());
+  if (Pipeline && (J.BlockN > 0 || J.ThreadM > 0 ||
+                   Modes.Dialect != PrintDialect::Cuda)) {
+    R.Code = 1;
+    R.Err = "gpucc: error: --block/--thread/--opencl are not "
+            "supported for multi-kernel pipelines\n";
+    return R;
+  }
   if (Modes.PrintNaive)
-    R.Out += strFormat("// ---- naive input ----\n%s\n",
-                       printKernel(*Naive, Modes.Dialect).c_str());
+    R.Out += "// ---- naive input ----\n" +
+             (Pipeline ? printNaiveProgram(CStages)
+                       : printKernel(Naive, Modes.Dialect)) +
+             "\n";
 
-  // Warm fast path: a clean prior search of this exact (kernel, device,
+  // Warm fast path: a clean prior search of this exact (input, device,
   // options) already published its winner; replay it byte-for-byte.
-  if (Ctx.Disk && Modes.fastPathEligible(J)) {
+  if (Ctx.Disk && !Ctx.Local && Modes.fastPathEligible(J)) {
     CachedCompile Cached;
-    if (Ctx.Disk->loadText(compileCacheKey(*Naive, Opt), Cached)) {
+    uint64_t Key = Pipeline ? programCacheKey(CStages, Opt)
+                            : compileCacheKey(Naive, Opt);
+    if (Ctx.Disk->loadText(Key, Cached)) {
       R.Out += Cached.KernelText;
       R.WarmFastPath = 1;
       return R;
@@ -206,22 +164,30 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
     attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
   }
 
-  GpuCompiler GC(M, Diags);
-  CompileOutput Out;
-  if (J.BlockN > 0 || J.ThreadM > 0) {
-    Out.Best = GC.compileVariant(*Naive, Opt, std::max(1, J.BlockN),
-                                 std::max(1, J.ThreadM), &Out.Plan,
-                                 &Out.Camping);
-    VariantResult VR;
-    VR.Kernel = Out.Best;
-    VR.BlockMergeN = std::max(1, J.BlockN);
-    VR.ThreadMergeM = std::max(1, J.ThreadM);
-    Out.Variants.push_back(VR);
+  GpuCompiler GC(L.M, Diags);
+  CompileOutput &Out = L.Out;
+  bool Ok;
+  if (Pipeline) {
+    L.Program = GC.compileProgram(CStages, Opt);
+    R.CritPathMs = L.Program.Search.CritPathMs;
+    Ok = programChosen(L.Program);
   } else {
-    Out = GC.compile(*Naive, Opt);
+    if (J.BlockN > 0 || J.ThreadM > 0) {
+      Out.Best = GC.compileVariant(Naive, Opt, std::max(1, J.BlockN),
+                                   std::max(1, J.ThreadM), &Out.Plan,
+                                   &Out.Camping);
+      VariantResult VR;
+      VR.Kernel = Out.Best;
+      VR.BlockMergeN = std::max(1, J.BlockN);
+      VR.ThreadMergeM = std::max(1, J.ThreadM);
+      Out.Variants.push_back(VR);
+    } else {
+      Out = GC.compile(Naive, Opt);
+    }
+    R.CritPathMs = Out.Search.CritPathMs;
+    Ok = Out.Best != nullptr;
   }
-  R.CritPathMs = Out.Search.CritPathMs;
-  if (!Out.Best || Diags.hasErrors()) {
+  if (!Ok || Diags.hasErrors()) {
     R.Code = 1;
     R.Err += Diags.str() + Diags.summary() + Out.Log;
     return R;
@@ -231,11 +197,14 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
   if (Modes.Sanitize || Modes.Lint)
     R.Err += sanitizeSummaryLine(SanSummary);
 
-  R.Out += printKernel(*Out.Best, Modes.Dialect);
+  R.Out += Pipeline ? L.Program.ProgramText
+                    : printKernel(*Out.Best, Modes.Dialect);
 
   if (Modes.Report)
-    R.Err += fullReport(*Naive, Out, Opt.Device);
+    R.Err += Pipeline ? fusionReport(L.Program)
+                      : fullReport(Naive, Out, Opt.Device);
   if (Modes.SearchStats)
-    R.Err += searchStatsReport(Out);
+    R.Err += Pipeline ? searchStatsReport(L.Program.Search)
+                      : searchStatsReport(Out);
   return R;
 }

@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes one CompileJob exactly the way the gpucc driver would —
-/// parse, warm fast path, sanitize/lint hooks, single-kernel or pipeline
-/// search, report/search-stats rendering — but into strings instead of
-/// stdio. Both consumers run this same code:
+/// Executes one CompileJob start to finish — parse, warm fast path,
+/// sanitize/lint hooks, single-kernel or pipeline search, report and
+/// search-stats rendering — into strings instead of stdio. It is the only
+/// compile path; every consumer runs this same code:
 ///
-///   - gpucc in-process (plain runs, batch lanes, and the daemon
-///     fallback path), and
+///   - gpucc in-process: single-file runs, every --batch lane, and the
+///     --connect fallback (--validate and --time-report are post-steps
+///     over the products a LocalCompile carries out), and
 ///   - the gpucd daemon's worker pool, one isolated Module /
 ///     DiagnosticsEngine per request over the shared two-tier cache.
 ///
@@ -37,6 +38,16 @@ class SimCache;
 
 namespace serve {
 
+/// In-process products of one compile, for gpucc's --validate and
+/// --time-report post-steps: the parsed naive stages (owned by M) and the
+/// search output — Out for a single kernel, Program for a pipeline.
+struct LocalCompile {
+  Module M;
+  std::vector<KernelFunction *> Stages;
+  CompileOutput Out;
+  ProgramCompileOutput Program;
+};
+
 /// Shared state a request executes against. The caches are the warm
 /// tiers every request shares (SimCache is lock-striped; DiskCache is
 /// opened once per daemon); Cancel is the per-request timeout hook.
@@ -48,6 +59,10 @@ struct ServiceContext {
   /// Search lanes for this request (daemon policy: requests parallelize
   /// across each other, so workers run each search serially by default).
   int Jobs = 1;
+  /// When set, the compile also hands its products out here and skips the
+  /// warm winner replay (a replay has no kernels to validate or time).
+  /// Wiring only, like Cancel: the daemon never sets it.
+  LocalCompile *Local = nullptr;
 };
 
 /// Maps a wire device name onto its DeviceSpec. \returns false for

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -467,6 +468,28 @@ TEST(DiskCacheConcurrency, HammeredSharedDirectoryStaysConsistent) {
     ASSERT_TRUE(A.load(Key, Out)) << "key " << Key;
     EXPECT_DOUBLE_EQ(Out.TimeMs, makeResult(Key).TimeMs);
   }
+}
+
+TEST(DiskCacheConcurrency, TwoHandlesStagingOneKeyUseDistinctTmpFiles) {
+  // The hammer test's race, forced: two handles on one directory both
+  // stage a write of the same key before either publishes. Sharing a
+  // staging file would let the first rename carry off the second
+  // writer's bytes and fail the second rename.
+  TempCacheDir Tmp;
+  DiskCache A(Tmp.Path), B(Tmp.Path);
+  constexpr uint64_t Key = 7;
+  const std::string TmpA = A.tmpPath(Key), TmpB = B.tmpPath(Key);
+  ASSERT_NE(TmpA, TmpB);
+  for (const std::string &T : {TmpA, TmpB})
+    std::ofstream(T) << "staged";
+  const std::string Entry = A.entryPath(Key, DiskCache::Kind::Perf);
+  std::filesystem::create_directories(
+      std::filesystem::path(Entry).parent_path());
+  std::error_code EC;
+  std::filesystem::rename(TmpA, Entry, EC);
+  EXPECT_FALSE(EC) << EC.message();
+  std::filesystem::rename(TmpB, Entry, EC);
+  EXPECT_FALSE(EC) << EC.message();
 }
 
 TEST(DiskCacheConcurrency, WarmSecondInstanceMatchesSerialColdRun) {

@@ -324,8 +324,10 @@ TEST(OracleTest, AnnouncedStagesFollowPipelineOrder) {
   KernelFunction *K = parseOk(M, MmSource);
   std::vector<std::string> Announced;
   CompileOptions Opt;
-  Opt.Hook = [&](const char *Stage, KernelFunction &, bool) {
-    Announced.push_back(Stage);
+  Opt.HookFactory = [&](DiagnosticsEngine &) -> StageHook {
+    return [&](const char *Stage, KernelFunction &, bool) {
+      Announced.push_back(Stage);
+    };
   };
   DiagnosticsEngine Diags;
   GpuCompiler GC(M, Diags);

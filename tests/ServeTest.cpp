@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -880,6 +881,80 @@ TEST(ServeEndToEnd, BatchRidesTheDaemonSharedCache) {
   int Status = 0;
   ASSERT_EQ(::waitpid(D, &Status, 0), D);
   EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+}
+
+/// The "jobs=N" token of a --search-stats report ("" when absent).
+std::string searchJobsToken(const std::string &Err) {
+  size_t At = Err.find("jobs=");
+  if (At == std::string::npos)
+    return "";
+  return Err.substr(At, Err.find(' ', At) - At);
+}
+
+TEST(ServeEndToEnd, FallbackSearchesWithThePlainRunsLanes) {
+  // --connect to a dead socket falls back in-process; its search must
+  // use the same lanes (--jobs default: hardware concurrency) as a plain
+  // run, not a serial search.
+  TempDir Dir;
+  const std::string Kernel = Dir.Path + "/mm.cu";
+  writeFile(Kernel, naiveSource(Algo::MM, 32));
+  const std::string Flags = " --no-disk-cache --search-stats " + Kernel;
+  ASSERT_EQ(runShell(std::string(GPUCC_BIN) + Flags + " > /dev/null 2> " +
+                     Dir.Path + "/plain.err"),
+            0);
+  ASSERT_EQ(runShell(std::string(GPUCC_BIN) + " --connect=" + Dir.sock() +
+                     Flags + " > /dev/null 2> " + Dir.Path + "/fb.err"),
+            0);
+  const std::string Fallback = slurp(Dir.Path + "/fb.err");
+  ASSERT_NE(Fallback.find("compiling in-process"), std::string::npos);
+  const std::string Plain = searchJobsToken(slurp(Dir.Path + "/plain.err"));
+  ASSERT_FALSE(Plain.empty());
+  EXPECT_EQ(searchJobsToken(Fallback), Plain);
+}
+
+TEST(ServeEndToEnd, BatchBlocksMatchSingleFileRuns) {
+  // gpucc's single-file runs and --batch lanes are one compile path: each
+  // file's batch stdout/stderr block must be exactly what a single-file
+  // run of it prints, sanitizer and lint output included.
+  TempDir Dir;
+  std::vector<std::string> Files;
+  for (const auto &E : fs::directory_iterator(GPUC_EXAMPLE_KERNELS))
+    if (E.path().extension() == ".cu")
+      Files.push_back(E.path().string());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  const std::string Gpucc =
+      std::string(GPUCC_BIN) + " --no-disk-cache --sanitize --lint";
+  std::string Args;
+  for (const std::string &F : Files)
+    Args += " " + F;
+  runShell(Gpucc + " --batch" + Args + " > " + Dir.Path + "/b.out 2> " +
+           Dir.Path + "/b.err");
+  const std::string BatchOut = slurp(Dir.Path + "/b.out");
+  const std::string BatchErr = slurp(Dir.Path + "/b.err");
+
+  // A file's block runs from its header line to the next file's header
+  // (stderr headers appear only for files with diagnostics).
+  auto block = [&](const std::string &Text, const std::string &Open,
+                   const std::string &Close, size_t I) {
+    size_t At = Text.find(Open + Files[I] + Close);
+    if (At == std::string::npos)
+      return std::string();
+    At += Open.size() + Files[I].size() + Close.size();
+    size_t End = std::string::npos;
+    for (size_t J = I + 1; J < Files.size() && End == std::string::npos; ++J)
+      End = Text.find(Open + Files[J] + Close, At);
+    return Text.substr(At, End == std::string::npos ? End : End - At);
+  };
+  for (size_t I = 0; I < Files.size(); ++I) {
+    runShell(Gpucc + " " + Files[I] + " > " + Dir.Path + "/s.out 2> " +
+             Dir.Path + "/s.err");
+    EXPECT_EQ(block(BatchOut, "// ==== ", " ====\n", I),
+              slurp(Dir.Path + "/s.out"))
+        << Files[I];
+    EXPECT_EQ(block(BatchErr, "== ", " ==\n", I), slurp(Dir.Path + "/s.err"))
+        << Files[I];
+  }
 }
 
 #endif // GPUCD_BIN && GPUCC_BIN
