@@ -177,29 +177,18 @@ private:
   // Environments and expression evaluation
   //===------------------------------------------------------------------===//
 
-  DivEnv divEnv(const State &S) const {
-    DivEnv E;
-    for (const auto &[Name, F] : S.Vars)
-      E.Vars[Name] = F.Div;
-    return E;
-  }
-
-  RangeEnv rangeEnv(const State &S) const {
-    RangeEnv E;
-    for (const auto &[Name, F] : S.Vars)
-      E.Syms[Name] = F.Range;
-    return E;
-  }
+  /// Views of \p S's facts (nothing is copied); valid while \p S lives.
+  static DivEnv divEnv(const State &S) { return {S.Vars}; }
+  static RangeEnv rangeEnv(const State &S) { return {S.Vars}; }
 
   /// Canonical affine form of \p E: builtins plus *active* loop iterators;
   /// other int locals are spliced in through their own stored forms.
   bool canonicalForm(const Expr *E, const State &S, AffineExpr &Out) const {
-    AffineExpr Raw;
-    if (!buildAffine(E, K, Raw))
+    if (!buildAffine(E, K, Out))
       return false;
-    Out = Raw;
-    Out.LoopCoeffs.clear();
-    for (const auto &[Name, C] : Raw.LoopCoeffs) {
+    std::map<std::string, long long> Raw;
+    Raw.swap(Out.LoopCoeffs);
+    for (const auto &[Name, C] : Raw) {
       if (ActiveIters.count(Name)) {
         Out.LoopCoeffs[Name] += C;
         continue;
@@ -312,16 +301,18 @@ private:
       Pair(F.CTidy, G.Delta.CTidy);
       Pair(F.CBidx, G.Delta.CBidx);
       Pair(F.CBidy, G.Delta.CBidy);
-      std::set<std::string> Names;
-      for (const auto &[N, C] : F.LoopCoeffs)
-        Names.insert(N);
-      for (const auto &[N, C] : G.Delta.LoopCoeffs)
-        Names.insert(N);
-      for (const std::string &N : Names) {
-        auto FI = F.LoopCoeffs.find(N);
-        auto DI = G.Delta.LoopCoeffs.find(N);
-        Pair(FI == F.LoopCoeffs.end() ? 0 : FI->second,
-             DI == G.Delta.LoopCoeffs.end() ? 0 : DI->second);
+      // Both coefficient maps are sorted by name: walk their union in step.
+      auto FI = F.LoopCoeffs.begin();
+      auto DI = G.Delta.LoopCoeffs.begin();
+      const auto FE = F.LoopCoeffs.end(), DE = G.Delta.LoopCoeffs.end();
+      while (Collinear && (FI != FE || DI != DE)) {
+        const bool InF = DI == DE || (FI != FE && FI->first <= DI->first);
+        const bool InD = FI == FE || (DI != DE && DI->first <= FI->first);
+        Pair(InF ? FI->second : 0, InD ? DI->second : 0);
+        if (InF)
+          ++FI;
+        if (InD)
+          ++DI;
       }
       if (!Collinear || Q == 0 || P == 0)
         continue;
@@ -653,32 +644,30 @@ private:
     return R;
   }
 
-  static State joinState(const State &A, const State &B) {
-    State R = A;
+  /// \p Into := join(\p Into, \p B), in place (the join is symmetric).
+  static void joinInto(State &Into, const State &B) {
     for (const auto &[Name, FB] : B.Vars) {
-      auto It = R.Vars.find(Name);
-      if (It == R.Vars.end())
-        R.Vars[Name] = FB; // declared on one path only: keep its fact
+      auto It = Into.Vars.find(Name);
+      if (It == Into.Vars.end())
+        Into.Vars[Name] = FB; // declared on one path only: keep its fact
       else
         It->second = joinFact(It->second, FB);
     }
-    return R;
   }
 
   static bool equalState(const State &A, const State &B) {
     return A.Vars == B.Vars;
   }
 
-  static State widenState(const State &Old, const State &New) {
-    State R = New;
-    for (auto &[Name, F] : R.Vars) {
+  static State widenState(const State &Old, State New) {
+    for (auto &[Name, F] : New.Vars) {
       auto It = Old.Vars.find(Name);
       if (It != Old.Vars.end() && F == It->second)
         continue;
       F.Range = Interval::top();
       F.HasForm = false;
     }
-    return R;
+    return New;
   }
 
   //===------------------------------------------------------------------===//
@@ -1025,7 +1014,8 @@ private:
       Guards.resize(Mark);
     }
     Ctx = Saved;
-    S = joinState(ThenS, ElseS);
+    joinInto(ThenS, ElseS);
+    S = std::move(ThenS);
   }
 
   /// Does \p Body assign to the variable \p Name (directly)?
@@ -1128,13 +1118,13 @@ private:
     Record = false;
     bool Converged = false;
     for (int It = 0; It < 4 && !Converged; ++It) {
-      State B = In;
-      analyzeCompound(F->body(), B);
-      State J = joinState(In, B);
+      State J = In;
+      analyzeCompound(F->body(), J);
+      joinInto(J, In);
       if (equalState(J, In))
         Converged = true;
       else
-        In = It >= 2 ? widenState(In, J) : J;
+        In = It >= 2 ? widenState(In, std::move(J)) : std::move(J);
     }
     Record = SavedRecord;
 
@@ -1142,9 +1132,9 @@ private:
     // round, so their accesses are recorded against the widened facts.
     collectAccesses(F->bound(), In, nullptr);
     collectAccesses(F->step(), In, nullptr);
-    State Fin = In;
-    analyzeCompound(F->body(), Fin);
-    State Post = joinState(In, Fin);
+    State Post = In;
+    analyzeCompound(F->body(), Post);
+    joinInto(Post, In);
 
     ActiveIters.erase(F->iterName());
     Ctx = Saved;
@@ -1232,13 +1222,13 @@ private:
     refineByCond(In, W->cond(), /*Negate=*/false);
     bool Converged = false;
     for (int It = 0; It < 4 && !Converged; ++It) {
-      State B = In;
-      analyzeCompound(W->body(), B);
-      State J = joinState(In, B);
+      State J = In;
+      analyzeCompound(W->body(), J);
+      joinInto(J, In);
       if (equalState(J, In))
         Converged = true;
       else
-        In = It >= 2 ? widenState(In, J) : J;
+        In = It >= 2 ? widenState(In, std::move(J)) : std::move(J);
     }
     Record = SavedRecord;
 
@@ -1250,13 +1240,13 @@ private:
     // Recording pass: the condition re-evaluates every round against the
     // widened facts, then the body.
     collectAccesses(W->cond(), In, nullptr);
-    State Fin = In;
-    analyzeCompound(W->body(), Fin);
+    State Post = In;
+    analyzeCompound(W->body(), Post);
     Guards.resize(Mark);
-    State Post = joinState(In, Fin);
+    joinInto(Post, In);
 
     Ctx = Saved;
-    S = joinState(S, Post); // zero-trip: the entry state survives
+    joinInto(S, Post); // zero-trip: the entry state survives
     // On exit the condition is false; clip refinable variables by its
     // negation (a persistent fact, unlike the scoped affine guards).
     refineVarOnly(S, W->cond(), /*Negate=*/true);

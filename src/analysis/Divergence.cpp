@@ -2,6 +2,8 @@
 
 #include "analysis/Divergence.h"
 
+#include "analysis/Dataflow.h"
+
 #include <algorithm>
 
 using namespace gpuc;
@@ -57,7 +59,7 @@ DivFact gpuc::divergenceOf(const Expr *E, const KernelFunction &K,
       return {}; // scalar parameters are launch-wide constants
     auto It = Env.Vars.find(V->name());
     if (It != Env.Vars.end())
-      return It->second;
+      return It->second.Div;
     return {Divergence::Unknown, Divergence::Unknown};
   }
   case ExprKind::ArrayRef:

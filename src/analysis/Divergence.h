@@ -56,11 +56,15 @@ struct DivFact {
 
 DivFact joinDiv(const DivFact &A, const DivFact &B);
 
-/// Per-variable divergence environment for divergenceOf. Scalar parameters
-/// are launch-wide constants (uniform on both axes) and need no entry;
-/// a local without an entry is treated as Unknown.
+struct VarFact; // analysis/Dataflow.h
+
+/// Per-variable divergence environment for divergenceOf: a view of the
+/// dataflow engine's live variable facts, read in place (building one
+/// copies nothing). Scalar parameters are launch-wide constants (uniform
+/// on both axes) and need no entry; a local without an entry is treated
+/// as Unknown.
 struct DivEnv {
-  std::map<std::string, DivFact> Vars;
+  const std::map<std::string, VarFact> &Vars;
 };
 
 /// Structural may-divergence of \p E under \p Env: the join over its

@@ -2,6 +2,8 @@
 
 #include "analysis/Ranges.h"
 
+#include "analysis/Dataflow.h"
+
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -132,8 +134,8 @@ Interval gpuc::remI(const Interval &A, const Interval &B) {
 }
 
 Interval RangeEnv::lookup(const std::string &Name) const {
-  auto It = Syms.find(Name);
-  return It == Syms.end() ? Interval::top() : It->second;
+  auto It = Vars.find(Name);
+  return It == Vars.end() ? Interval::top() : It->second.Range;
 }
 
 Interval gpuc::rangeOfAffine(const AffineExpr &A, const LaunchConfig &L,

@@ -72,10 +72,13 @@ Interval divI(const Interval &A, const Interval &B);
 /// C remainder (sign follows the dividend); unknown when B may be zero.
 Interval remI(const Interval &A, const Interval &B);
 
+struct VarFact; // analysis/Dataflow.h
+
 /// Value intervals for the symbolic (loop-iterator) names appearing in
-/// canonical affine forms. Missing names are unknown.
+/// canonical affine forms: a view of the dataflow engine's live variable
+/// facts, read in place. Missing names are unknown.
 struct RangeEnv {
-  std::map<std::string, Interval> Syms;
+  const std::map<std::string, VarFact> &Vars;
   Interval lookup(const std::string &Name) const;
 };
 

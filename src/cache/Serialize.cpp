@@ -236,6 +236,10 @@ bool gpuc::decodePerfResult(ByteReader &R, PerfResult &Out) {
     T.BytesMoved = R.f64();
     Out.Sites.emplace_back(std::move(Label), T);
   }
+  // Entries written before sortSites broke ties deterministically carry
+  // tied rows in allocation order; re-sorting makes a loaded result print
+  // exactly like a fresh run.
+  sortSites(Out.Sites);
   return R.atCleanEnd();
 }
 

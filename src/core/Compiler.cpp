@@ -107,7 +107,8 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
                                             MergePlan *PlanOut,
                                             PartitionCampResult *CampOut,
                                             const LayoutPoint *Layout,
-                                            CampingAnalysis *ScanOut) {
+                                            CampingAnalysis *ScanOut,
+                                            std::optional<bool> *ViolationOut) {
   std::string Name =
       strFormat("%s_opt_b%d_t%d", Naive.name().c_str(), BlockN, ThreadM);
   KernelFunction *V = cloneKernel(M, &Naive, Name);
@@ -207,10 +208,14 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
     // Barrier uniformity is semantic, not structural: the dataflow
     // engine's divergence lattice must prove every barrier (conservative
     // parity with the pre-analysis Verifier: an unproven barrier is still
-    // an error, but thread-invariant conditions now verify).
-    for (const BarrierIssue &Issue : checkBarriers(*V))
+    // an error, but thread-invariant conditions now verify). The same run
+    // answers the search's static-prune question.
+    const DataflowResult Facts = runDataflow(*V);
+    for (const BarrierIssue &Issue : checkBarriers(Facts))
       Diags.error(SourceLocation(), strFormat("%s: %s", V->name().c_str(),
                                               Issue.Message.c_str()));
+    if (ViolationOut)
+      *ViolationOut = Facts.anyViolation();
   }
   Stage("final", /*Final=*/true);
   return V;
@@ -235,10 +240,13 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   const bool LayoutMode = Opt.LayoutSearch && Opt.PartitionElim;
   const LayoutPoint Identity = LayoutPoint::identityPoint();
   CampingAnalysis Scan;
+  std::optional<bool> ProbeViolation;
+  WallTimer ProbeCompileTimer;
   KernelFunction *Probe =
       compileVariant(Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan,
                      &Out.Camping, LayoutMode ? &Identity : nullptr,
-                     LayoutMode ? &Scan : nullptr);
+                     LayoutMode ? &Scan : nullptr, &ProbeViolation);
+  const double ProbeCompileMs = ProbeCompileTimer.elapsedMs();
   if (!Probe || Diags.hasErrors()) {
     Out.Log += "probe compilation failed\n";
     return Out;
@@ -327,42 +335,55 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   constexpr double LowerBoundSafety = 0.75;
   const PerfOptions ProbeOpts = PerfOptions::lowerBoundProbe();
 
+  // Builds one candidate and decides whether it goes on to the probe:
+  // compile, occupancy, static-prune verdict. \returns false when the
+  // candidate drops out here.
+  auto Prepare = [&](Candidate &C) {
+    std::optional<bool> Violation;
+    if (C.N == 1 && C.Mm == 1 && C.Layout.identity()) {
+      C.Kernel = Probe; // already built for the plan probe
+      C.Camp = Out.Camping;
+      Violation = ProbeViolation;
+      C.CompileWallMs = ProbeCompileMs;
+    } else {
+      C.Owner = std::make_shared<Module>();
+      GpuCompiler TaskCompiler(*C.Owner, C.TaskDiags);
+      C.Kernel = TaskCompiler.compileVariant(
+          Naive, Opt, C.N, C.Mm, nullptr, &C.Camp,
+          LayoutMode ? &C.Layout : nullptr, nullptr, &Violation);
+    }
+    if (!C.Kernel)
+      return false;
+    C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
+    C.OccInfeasible = C.Occ.Infeasible;
+    if (C.OccInfeasible)
+      return false;
+    // A Violation verdict means the variant provably faults at runtime —
+    // its performance run could never succeed, so skip probe and
+    // simulation outright. The fuzz oracle's static/dynamic differential
+    // keeps this sound, which is what guarantees identical winners with
+    // pruning on or off. A verified variant brings the verdict from its
+    // Verify step; the paths that never verify run the engine here.
+    if (Opt.StaticPrune &&
+        (Violation ? *Violation : runDataflow(*C.Kernel).anyViolation())) {
+      C.StaticallyPruned = true;
+      return false;
+    }
+    return true;
+  };
+
   // Phase A: compile every candidate in its own Module/ASTContext arena
-  // with its own DiagnosticsEngine, compute occupancy, and (unless the
-  // search is exhaustive) estimate a lower bound with a cheap probe run.
+  // with its own DiagnosticsEngine, compute occupancy and the static
+  // verdict, and (unless the search is exhaustive) estimate a lower bound
+  // with a cheap probe run.
   Pool.parallelFor(Cands.size(), [&](size_t I) {
     Candidate &C = Cands[I];
     if (compileCancelled(Opt))
       return; // cancelled: leave the slot unbuilt, discarded below
     WallTimer CompileTimer;
-    if (C.N == 1 && C.Mm == 1 && C.Layout.identity()) {
-      C.Kernel = Probe; // already built for the plan probe
-      C.Camp = Out.Camping;
-    } else {
-      C.Owner = std::make_shared<Module>();
-      GpuCompiler TaskCompiler(*C.Owner, C.TaskDiags);
-      C.Kernel =
-          TaskCompiler.compileVariant(Naive, Opt, C.N, C.Mm, nullptr,
-                                      &C.Camp,
-                                      LayoutMode ? &C.Layout : nullptr);
-    }
-    C.CompileWallMs = CompileTimer.elapsedMs();
-    if (!C.Kernel)
-      return;
-    C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
-    C.OccInfeasible = C.Occ.Infeasible;
-    if (C.OccInfeasible)
-      return;
-    // A Violation verdict means the variant provably faults at runtime —
-    // its performance run could never succeed, so skip probe and
-    // simulation outright. The fuzz oracle's static/dynamic differential
-    // keeps this sound, which is what guarantees identical winners with
-    // pruning on or off.
-    if (Opt.StaticPrune && runDataflow(*C.Kernel).anyViolation()) {
-      C.StaticallyPruned = true;
-      return;
-    }
-    if (Opt.ExhaustiveSearch)
+    const bool Ready = Prepare(C);
+    C.CompileWallMs += CompileTimer.elapsedMs();
+    if (!Ready || Opt.ExhaustiveSearch)
       return;
     WallTimer ProbeTimer;
     BufferSet Buffers;

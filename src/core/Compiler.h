@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,9 @@ class DiskCache;
 /// stage's name and the (mutable) kernel as transformed so far. Installed
 /// by the sanitizer layer (analysis/Sanitizer.h) to race-check and lint
 /// every intermediate kernel; \p Final is true for the last invocation on
-/// a variant, after folding and verification.
+/// a variant, after folding and verification. The search's static-prune
+/// verdict comes from that verification, so a hook must not change the
+/// kernel at the "final" announcement.
 using StageHook =
     std::function<void(const char *Stage, KernelFunction &K, bool Final)>;
 
@@ -164,7 +167,10 @@ struct VariantResult {
   bool StaticallyPruned = false;
   /// The pruning estimate (ms); 0 when no probe ran.
   double LowerBoundMs = 0;
-  /// Wall-clock spent compiling / simulating this variant.
+  /// Wall-clock spent compiling / simulating this variant. CompileWallMs
+  /// covers the candidate's whole preparation up to its probe run: the
+  /// pipeline (the probe variant's own compile included), occupancy and
+  /// the static-prune verdict.
   double CompileWallMs = 0;
   double SimWallMs = 0;
   double timeMs() const { return Perf.TimeMs; }
@@ -301,13 +307,18 @@ public:
   /// (core/AffineLayout) instead of the legacy heuristic; \p ScanOut, when
   /// set, receives the camping analysis taken at that stage (with the
   /// block-merge scale factors probed), which is what gates the layout
-  /// enumeration. \returns null on failure.
+  /// enumeration. \p ViolationOut, when set, receives whether the Verify
+  /// step's dataflow run (analysis/Dataflow.h) proved a Violation — the
+  /// search's static-prune verdict, so a verified candidate costs one
+  /// engine run; it stays empty on the paths that never verify (Verify or
+  /// Coalesce off, untileable domain). \returns null on failure.
   KernelFunction *compileVariant(const KernelFunction &Naive,
                                  const CompileOptions &Opt, int BlockN,
                                  int ThreadM, MergePlan *PlanOut = nullptr,
                                  PartitionCampResult *CampOut = nullptr,
                                  const LayoutPoint *Layout = nullptr,
-                                 CampingAnalysis *ScanOut = nullptr);
+                                 CampingAnalysis *ScanOut = nullptr,
+                                 std::optional<bool> *ViolationOut = nullptr);
 
   /// Full compilation: enumerates merge-factor candidates, test-runs each
   /// version on the simulator (the paper's empirical search) and returns

@@ -14,6 +14,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 using namespace gpuc;
 using namespace gpuc::serve;
 
@@ -51,6 +55,17 @@ double percentile(const std::vector<double> &Sorted, double Q) {
   if (Idx >= Sorted.size())
     Idx = Sorted.size() - 1;
   return Sorted[Idx];
+}
+
+/// Hands memory the allocator holds free back to the OS. A search frees
+/// its whole working set (candidate modules, dataflow facts, simulator
+/// buffers), but the allocator keeps the pages, fragmented by the
+/// long-lived cache entries allocated between them, so without this a
+/// resident daemon's footprint ratchets up with every search it serves.
+void releaseFreeMemory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 } // namespace
@@ -385,6 +400,8 @@ void Server::workerLoop() {
       Ctx.Cancel = &J->Cancel;
       Ctx.Jobs = Opts.InnerJobs;
       R = runCompileJob(J->Req, Ctx);
+      if (!R.WarmFastPath)
+        releaseFreeMemory();
     }
     {
       std::lock_guard<std::mutex> L(RS->Mu);

@@ -189,7 +189,8 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
   }
   if (!Ok || Diags.hasErrors()) {
     R.Code = 1;
-    R.Err += Diags.str() + Diags.summary() + Out.Log;
+    const std::string Summary = Diags.summary();
+    R.Err += Diags.str() + Summary + (Summary.empty() ? "" : "\n") + Out.Log;
     return R;
   }
   if (Diags.hasWarnings())

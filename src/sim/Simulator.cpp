@@ -8,8 +8,22 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 using namespace gpuc;
+
+void gpuc::sortSites(
+    std::vector<std::pair<std::string, SiteTraffic>> &Sites) {
+  std::sort(Sites.begin(), Sites.end(), [](const auto &A, const auto &B) {
+    const SiteTraffic &TA = A.second, &TB = B.second;
+    if (TA.BytesMoved != TB.BytesMoved)
+      return TA.BytesMoved > TB.BytesMoved;
+    return std::tie(A.first, TA.Transactions, TA.HalfWarps,
+                    TA.CoalescedHalfWarps) <
+           std::tie(B.first, TB.Transactions, TB.HalfWarps,
+                    TB.CoalescedHalfWarps);
+  });
+}
 
 static bool kernelHasGlobalSync(const KernelFunction &K) {
   bool Found = false;
@@ -149,10 +163,7 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
           (T.IsStore ? "store " : "load  ") + printExpr(Ref);
       R.Sites.emplace_back(std::move(Label), T);
     }
-    std::sort(R.Sites.begin(), R.Sites.end(),
-              [](const auto &A, const auto &B) {
-                return A.second.BytesMoved > B.second.BytesMoved;
-              });
+    sortSites(R.Sites);
   }
   R.Timing = estimateTime(Dev, R.Stats, R.Occ, NumBlocks);
   R.TimeMs = R.Timing.TotalMs;

@@ -73,9 +73,9 @@ struct PerfResult {
   Occupancy Occ;
   TimingBreakdown Timing;
   double TimeMs = 0;
-  /// Per-access traffic (labelled with the access expression), largest
-  /// mover first; filled when PerfOptions::TrackSites is set. Counts are
-  /// extrapolated to the whole grid.
+  /// Per-access traffic (labelled with the access expression) in
+  /// sortSites order; filled when PerfOptions::TrackSites is set. Counts
+  /// are extrapolated to the whole grid.
   std::vector<std::pair<std::string, SiteTraffic>> Sites;
 
   double gflops(double UsefulFlops) const {
@@ -86,6 +86,11 @@ struct PerfResult {
     return TimeMs > 0 ? UsefulBytes / (TimeMs * 1e6) : 0;
   }
 };
+
+/// Puts \p Sites in report order: largest mover first, ties broken by
+/// label, then by transactions and the half-warp counts, so the order
+/// never depends on where the AST nodes were allocated.
+void sortSites(std::vector<std::pair<std::string, SiteTraffic>> &Sites);
 
 class SimCache;
 

@@ -120,6 +120,24 @@ TEST(Serialize, PerfResultRoundTrip) {
   EXPECT_EQ(Out.Sites[0].second.Site, nullptr);
 }
 
+TEST(Serialize, DecodedSitesAreInReportOrder) {
+  // An entry stored with tied rows out of sortSites order (as builds
+  // without the tie-break wrote them) loads in report order.
+  PerfResult R = samplePerf();
+  SiteTraffic T;
+  T.Transactions = 4;
+  T.BytesMoved = 256;
+  R.Sites = {{"load  b[idx]", T}, {"load  a[idx]", T}};
+  ByteWriter W;
+  encodePerfResult(W, R);
+  ByteReader Rd(W.buffer());
+  PerfResult Out;
+  ASSERT_TRUE(decodePerfResult(Rd, Out));
+  ASSERT_EQ(Out.Sites.size(), 2u);
+  EXPECT_EQ(Out.Sites[0].first, "load  a[idx]");
+  EXPECT_EQ(Out.Sites[1].first, "load  b[idx]");
+}
+
 TEST(Serialize, CachedCompileRoundTrip) {
   CachedCompile C = sampleText();
   ByteWriter W;

@@ -14,9 +14,17 @@
 #include "analysis/Dataflow.h"
 #include "ast/Printer.h"
 #include "baselines/NaiveKernels.h"
+#include "core/Compiler.h"
 #include "parser/Parser.h"
+#include "sim/SimCache.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace gpuc;
 
@@ -445,3 +453,205 @@ TEST(Dataflow, VerdictNamesStable) {
   EXPECT_STREQ(verdictName(Verdict::Possible), "possible");
   EXPECT_STREQ(verdictName(Verdict::Violation), "violation");
 }
+
+//===----------------------------------------------------------------------===//
+// Pinned engine output over every search variant of the example kernels.
+//===----------------------------------------------------------------------===//
+
+#if defined(GPUC_EXAMPLE_KERNELS) && defined(GPUC_DATAFLOW_DIGEST)
+
+namespace {
+
+std::string divName(const DivFact &D) {
+  return std::string(divergenceName(D.Thread)) + "/" +
+         divergenceName(D.Block);
+}
+
+std::string formStr(const AffineExpr &A) {
+  std::string S = strFormat("%lld+%lld*tx+%lld*ty+%lld*bx+%lld*by", A.Const,
+                            A.CTidx, A.CTidy, A.CBidx, A.CBidy);
+  for (const auto &[Name, C] : A.LoopCoeffs)
+    S += strFormat("+%lld*%s", C, Name.c_str());
+  return S;
+}
+
+/// Every fact the engine reports, in result order: each access's words,
+/// verdict and divergence, each barrier's verdict and reason, and the
+/// exit-state variable facts.
+std::string dumpResult(const DataflowResult &R) {
+  std::string S;
+  for (const AccessFact &A : R.Accesses)
+    S += strFormat("access %s %s%s @%d:%d words=%s total=%lld lanes=%d "
+                   "%s addr=%s%s\n",
+                   A.Array.c_str(), A.IsStore ? "store" : "load",
+                   A.IsShared ? " shared" : "", A.Loc.Line, A.Loc.Col,
+                   A.Words.str().c_str(), A.TotalWords, A.Lanes,
+                   verdictName(A.Bounds), divName(A.AddrDiv).c_str(),
+                   A.Guarded ? " guarded" : "");
+  for (const BarrierFact &B : R.Barriers)
+    S += strFormat("barrier %s %s (%s)\n",
+                   B.IsGlobal ? "global" : "block",
+                   verdictName(B.Uniformity), B.Reason.c_str());
+  for (const auto &[Name, F] : R.ExitVars)
+    S += strFormat("var %s range=%s div=%s form=%s\n", Name.c_str(),
+                   F.Range.str().c_str(), divName(F.Div).c_str(),
+                   F.HasForm ? formStr(F.Form).c_str() : "none");
+  return S;
+}
+
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+std::vector<std::string> exampleKernels() {
+  std::vector<std::string> Files;
+  for (const auto &E :
+       std::filesystem::directory_iterator(GPUC_EXAMPLE_KERNELS))
+    if (E.path().extension() == ".cu")
+      Files.push_back(E.path().string());
+  std::sort(Files.begin(), Files.end());
+  return Files;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// Every variant a search over \p Path returns: the candidates of a
+/// single-kernel search, or of each stage's and the fused kernel's
+/// searches for a pipeline.
+std::vector<const VariantResult *>
+searchVariants(const std::vector<KernelFunction *> &Stages, GpuCompiler &GC,
+               const CompileOptions &Opt, CompileOutput &Single,
+               ProgramCompileOutput &Program) {
+  std::vector<const VariantResult *> Vs;
+  auto Add = [&](const CompileOutput &Out) {
+    for (const VariantResult &V : Out.Variants)
+      Vs.push_back(&V);
+  };
+  if (Stages.size() == 1) {
+    Single = GC.compile(*Stages.front(), Opt);
+    Add(Single);
+    return Vs;
+  }
+  Program = GC.compileProgram(
+      std::vector<const KernelFunction *>(Stages.begin(), Stages.end()), Opt);
+  for (const CompileOutput &Out : Program.StageOuts)
+    Add(Out);
+  if (Program.FusionLegal)
+    Add(Program.FusedOut);
+  return Vs;
+}
+
+/// The search's static-prune verdict must be exactly the engine's
+/// Violation verdict on the variant it returned (occupancy-infeasible
+/// candidates are rejected before the verdict is consulted).
+void expectPruneMatchesEngine(const std::vector<const VariantResult *> &Vs,
+                              const std::string &Where) {
+  for (const VariantResult *V : Vs) {
+    ASSERT_NE(V->Kernel, nullptr) << Where;
+    const bool Violation = runDataflow(*V->Kernel).anyViolation();
+    EXPECT_EQ(V->StaticallyPruned, V->LimitedBy ? false : Violation)
+        << Where << " " << V->Kernel->name() << " " << V->Layout;
+  }
+}
+
+} // namespace
+
+TEST(DataflowDigest, ExampleVariantsMatchPinnedEngineOutput) {
+  // One line per variant: file, device, name, layout and factors, then a
+  // hash of dumpResult. The fixture pins the engine's full output, so a
+  // faster engine must reproduce it fact for fact. On a mismatch the
+  // actual digest is written next to the test binary
+  // (dataflow_digest.actual.txt); after an intended change of the
+  // engine's facts, copy it over tests/fixtures/dataflow_digest.txt.
+  const std::vector<std::string> Files = exampleKernels();
+  ASSERT_FALSE(Files.empty());
+  std::string Digest;
+  std::map<std::string, std::string> Dumps;
+  SimCache Cache;
+  for (const DeviceSpec &Dev : {DeviceSpec::gtx280(), DeviceSpec::gtx8800()})
+    for (const std::string &Path : Files) {
+      const std::string File = std::filesystem::path(Path).filename();
+      Module M;
+      DiagnosticsEngine D;
+      Parser P(readFile(Path), D);
+      std::vector<KernelFunction *> Stages = P.parseProgram(M);
+      ASSERT_FALSE(Stages.empty()) << File << "\n" << D.str();
+      CompileOptions Opt;
+      Opt.Device = Dev;
+      Opt.Cache = &Cache;
+      GpuCompiler GC(M, D);
+      CompileOutput Single;
+      ProgramCompileOutput Program;
+      std::vector<const VariantResult *> Vs =
+          searchVariants(Stages, GC, Opt, Single, Program);
+      ASSERT_FALSE(Vs.empty()) << File;
+      for (const VariantResult *V : Vs) {
+        const std::string Key =
+            strFormat("%s %s %s %s b%d t%d", File.c_str(), Dev.Name.c_str(),
+                      V->Kernel->name().c_str(), V->Layout, V->BlockMergeN,
+                      V->ThreadMergeM);
+        const std::string Dump = dumpResult(runDataflow(*V->Kernel));
+        Digest += strFormat("%s %016llx\n", Key.c_str(),
+                            static_cast<unsigned long long>(fnv1a(Dump)));
+        Dumps[Key] = Dump;
+      }
+      expectPruneMatchesEngine(Vs, File + " " + Dev.Name);
+    }
+
+  const std::string Pinned = readFile(GPUC_DATAFLOW_DIGEST);
+  if (Digest == Pinned)
+    return;
+  std::ofstream("dataflow_digest.actual.txt", std::ios::binary) << Digest;
+  std::istringstream Want(Pinned), Got(Digest);
+  std::string W, G;
+  while (std::getline(Want, W) && std::getline(Got, G))
+    if (W != G) {
+      const std::string Key = G.substr(0, G.rfind(' '));
+      ADD_FAILURE() << "first differing variant:\n  pinned " << W
+                    << "\n  actual " << G << "\nengine output:\n"
+                    << Dumps[Key];
+      return;
+    }
+  ADD_FAILURE() << "digest length differs (pinned "
+                << std::count(Pinned.begin(), Pinned.end(), '\n')
+                << " variants, actual "
+                << std::count(Digest.begin(), Digest.end(), '\n') << ")";
+}
+
+TEST(DataflowDigest, PruneVerdictMatchesEngineWithoutVerifyOrCoalescing) {
+  // compileVariant's early exits (no coalescing) and Verify = false never
+  // run the engine inside the pipeline; the search must then take the
+  // verdict from its own run.
+  SimCache Cache;
+  for (bool Coalesce : {true, false})
+    for (const std::string &Path : exampleKernels()) {
+      const std::string File = std::filesystem::path(Path).filename();
+      Module M;
+      DiagnosticsEngine D;
+      Parser P(readFile(Path), D);
+      std::vector<KernelFunction *> Stages = P.parseProgram(M);
+      ASSERT_FALSE(Stages.empty()) << File << "\n" << D.str();
+      CompileOptions Opt;
+      Opt.Verify = false;
+      Opt.Coalesce = Coalesce;
+      Opt.Cache = &Cache;
+      GpuCompiler GC(M, D);
+      CompileOutput Single;
+      ProgramCompileOutput Program;
+      expectPruneMatchesEngine(
+          searchVariants(Stages, GC, Opt, Single, Program),
+          File + (Coalesce ? " verify=off" : " verify=off coalesce=off"));
+    }
+}
+
+#endif // GPUC_EXAMPLE_KERNELS && GPUC_DATAFLOW_DIGEST

@@ -957,6 +957,36 @@ TEST(ServeEndToEnd, BatchBlocksMatchSingleFileRuns) {
   }
 }
 
+TEST(ServeEndToEnd, FailureSummarySitsOnItsOwnLine) {
+  // A failed compile prints the diagnostics summary, then the search log,
+  // each on its own line ("2 errors generated.\nprobe compilation
+  // failed"), in a single-file run and in a --batch block alike.
+  TempDir Dir;
+  const std::string Conv = std::string(GPUC_EXAMPLE_KERNELS) + "/conv.cu";
+  const std::string Gpucc =
+      std::string(GPUCC_BIN) + " --no-disk-cache --lint=strict --Werror ";
+  ASSERT_EQ(runShell(Gpucc + Conv + " > /dev/null 2> " + Dir.Path +
+                     "/single.err"),
+            1);
+  ASSERT_NE(runShell(Gpucc + "--batch " + Conv + " > /dev/null 2> " +
+                     Dir.Path + "/batch.err"),
+            0);
+  for (const char *Name : {"/single.err", "/batch.err"}) {
+    const std::string Err = slurp(Dir.Path + Name);
+    const size_t At = Err.find(" generated.");
+    ASSERT_NE(At, std::string::npos) << Name << ":\n" << Err;
+    const size_t LineStart = Err.rfind('\n', At);
+    const size_t LineEnd = Err.find('\n', At);
+    ASSERT_NE(LineEnd, std::string::npos) << Name << ":\n" << Err;
+    const std::string Line = Err.substr(
+        LineStart == std::string::npos ? 0 : LineStart + 1,
+        LineEnd - (LineStart == std::string::npos ? 0 : LineStart + 1));
+    EXPECT_EQ(Line, "2 errors generated.") << Name << ":\n" << Err;
+    EXPECT_EQ(Err.substr(LineEnd + 1, 25), "probe compilation failed\n")
+        << Name << ":\n" << Err;
+  }
+}
+
 #endif // GPUCD_BIN && GPUCC_BIN
 
 } // namespace

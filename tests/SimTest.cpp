@@ -2,10 +2,17 @@
 
 #include "ast/Builder.h"
 #include "baselines/CublasLike.h"
+#include "core/Compiler.h"
+#include "parser/Parser.h"
 #include "sim/MemoryModel.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <tuple>
 
 using namespace gpuc;
 
@@ -472,3 +479,93 @@ TEST(Timing, LowOccupancyExposesLatency) {
   TimingBreakdown THigh = estimateTime(Dev, S, High, 1024);
   EXPECT_GT(TLow.TotalMs, THigh.TotalMs);
 }
+
+//===----------------------------------------------------------------------===//
+// Traffic-site order (gpucc --report)
+//===----------------------------------------------------------------------===//
+
+TEST(SiteOrder, TiesBreakOnLabelThenTransactions) {
+  auto Site = [](const char *Label, double Bytes, double Txns) {
+    SiteTraffic T;
+    T.BytesMoved = Bytes;
+    T.Transactions = Txns;
+    return std::make_pair(std::string(Label), T);
+  };
+  std::vector<std::pair<std::string, SiteTraffic>> Sites = {
+      Site("load  b[idx]", 64, 1), Site("store c[idx]", 128, 2),
+      Site("load  a[idx]", 64, 2), Site("load  a[idx]", 64, 1)};
+  std::vector<std::string> Want = {"store c[idx]", "load  a[idx]",
+                                   "load  a[idx]", "load  b[idx]"};
+  // Every input order (the collection order follows AST addresses) sorts
+  // to the same sequence.
+  auto InputOrder = [](const auto &A, const auto &B) {
+    return std::tie(A.first, A.second.Transactions) <
+           std::tie(B.first, B.second.Transactions);
+  };
+  std::sort(Sites.begin(), Sites.end(), InputOrder);
+  do {
+    auto Sorted = Sites;
+    sortSites(Sorted);
+    std::vector<std::string> Got;
+    for (const auto &[Label, T] : Sorted)
+      Got.push_back(Label);
+    ASSERT_EQ(Got, Want);
+    EXPECT_EQ(Sorted[1].second.Transactions, 1);
+    EXPECT_EQ(Sorted[2].second.Transactions, 2);
+  } while (std::next_permutation(Sites.begin(), Sites.end(), InputOrder));
+}
+
+#ifdef GPUC_EXAMPLE_KERNELS
+
+namespace {
+
+/// The --report traffic rows of \p File's search winner, from a fresh
+/// parse and search (so every AST node is newly allocated).
+std::vector<std::pair<std::string, SiteTraffic>>
+winnerSites(const std::string &File) {
+  std::ifstream In(std::string(GPUC_EXAMPLE_KERNELS) + "/" + File);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  Module M;
+  DiagnosticsEngine D;
+  Parser P(SS.str(), D);
+  KernelFunction *K = P.parseKernel(M);
+  EXPECT_NE(K, nullptr) << D.str();
+  if (!K)
+    return {};
+  GpuCompiler GC(M, D);
+  CompileOutput Out = GC.compile(*K);
+  EXPECT_NE(Out.Best, nullptr) << Out.Log;
+  if (!Out.Best)
+    return {};
+  Simulator Sim(DeviceSpec::gtx280());
+  BufferSet B;
+  PerfOptions PO;
+  PO.TrackSites = true;
+  PerfResult R = Sim.runPerformance(*Out.Best, B, D, PO);
+  EXPECT_TRUE(R.Valid);
+  return R.Sites;
+}
+
+} // namespace
+
+TEST(SiteOrder, TwoRunsReportEqualSites) {
+  for (const char *File : {"mm.cu", "imregionmax.cu"}) {
+    auto A = winnerSites(File), B = winnerSites(File);
+    ASSERT_FALSE(A.empty()) << File;
+    ASSERT_EQ(A.size(), B.size()) << File;
+    for (size_t I = 0; I < A.size(); ++I) {
+      EXPECT_EQ(A[I].first, B[I].first) << File << " row " << I;
+      EXPECT_EQ(A[I].second.IsStore, B[I].second.IsStore) << File;
+      EXPECT_EQ(A[I].second.HalfWarps, B[I].second.HalfWarps) << File;
+      EXPECT_EQ(A[I].second.CoalescedHalfWarps,
+                B[I].second.CoalescedHalfWarps)
+          << File;
+      EXPECT_EQ(A[I].second.Transactions, B[I].second.Transactions)
+          << File;
+      EXPECT_EQ(A[I].second.BytesMoved, B[I].second.BytesMoved) << File;
+    }
+  }
+}
+
+#endif // GPUC_EXAMPLE_KERNELS
