@@ -82,7 +82,9 @@ public:
   /// entries then quarantine on first touch instead of aliasing.
   // v2: kernel hashes cover the affine block remap and searches carry the
   // layout dimension (compileCacheKey bit 8).
-  static constexpr uint32_t SchemaVersion = 2;
+  // v3: the layout family is scored only at the two best identity merge
+  // points, so a search's competing variants changed.
+  static constexpr uint32_t SchemaVersion = 3;
 
   enum class Kind : uint32_t { Perf = 1, Text = 2 };
 

@@ -29,6 +29,11 @@ using namespace gpuc;
 
 namespace {
 
+/// The number of merge points at which the search scores the non-identity
+/// affine layouts: the fastest identity variants, whose merge factors the
+/// paper fixes before it removes partition camping (Section 3.7).
+constexpr size_t LayoutFamilyMergePoints = 2;
+
 /// Sets the post-coalescing launch shape: one half warp per block
 /// (Section 3.3: "the thread block size is also set to 16").
 bool setHalfWarpLaunch(KernelFunction &K) {
@@ -261,20 +266,22 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   if (Opt.Merge && Out.Plan.anyThreadMerge())
     ThreadMs = {1, 4, 8, 16, 32};
 
-  // The affine layout dimension (outermost). Kernels that camp at no
-  // probed stride get the identity alone, so their candidate set — and
-  // their search cost — is unchanged by layout mode.
+  // The affine layout family. Kernels that camp at no probed stride get
+  // the identity alone, so their candidate set — and their search cost —
+  // is unchanged by layout mode.
   std::vector<LayoutPoint> Layouts{LayoutPoint::identityPoint()};
   if (LayoutMode)
     Layouts = enumerateLayouts(*Probe, Opt.Device, Scan);
+  const bool Family = Layouts.size() > 1;
 
-  // One slot per candidate in canonical (layout outer, then N, then M)
-  // order. Every search result is keyed by slot, every decision reads
-  // deterministic per-slot values, and the final reduction walks slots in
-  // order — the outcome is therefore independent of task completion order
-  // and of the lane count. Identity is layout slot 0, so the strict-<
-  // reduction keeps the untransformed variant whenever a permutation buys
-  // nothing.
+  // One slot per candidate. Phase 1 fills the identity slots in canonical
+  // (N, then M) order; phase 2 appends the other family points at the
+  // best identity merge points in layout-outer order. Every search result
+  // is keyed by slot, every decision reads deterministic per-slot values,
+  // and the final reduction walks slots in order — the outcome is
+  // therefore independent of task completion order and of the lane
+  // count. The identity slots come first, so the strict-< reduction keeps
+  // the untransformed variant whenever a permutation buys nothing.
   struct Candidate {
     int N = 1, Mm = 1;
     LayoutPoint Layout;
@@ -297,19 +304,20 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     double CompileWallMs = 0;
     double SimWallMs = 0;
   };
-  std::vector<Candidate> Cands(Layouts.size() * BlockNs.size() *
-                               ThreadMs.size());
-  {
-    size_t I = 0;
-    for (const LayoutPoint &L : Layouts)
-      for (int N : BlockNs)
-        for (int Mm : ThreadMs) {
-          Cands[I].Layout = L;
-          Cands[I].N = N;
-          Cands[I].Mm = Mm;
-          ++I;
-        }
-  }
+  const size_t MergePoints = BlockNs.size() * ThreadMs.size();
+  const size_t FamilyMergePoints =
+      Family ? std::min(LayoutFamilyMergePoints, MergePoints) : 0;
+  std::vector<Candidate> Cands;
+  // Phase 2 appends to the vector; reserving every slot up front keeps
+  // the phase 1 slots where their tasks left them.
+  Cands.reserve(MergePoints + FamilyMergePoints * (Layouts.size() - 1));
+  for (int N : BlockNs)
+    for (int Mm : ThreadMs) {
+      Candidate &C = Cands.emplace_back();
+      C.Layout = Layouts.front();
+      C.N = N;
+      C.Mm = Mm;
+    }
 
   unsigned Jobs = Opt.Jobs <= 0 ? ThreadPool::defaultConcurrency()
                                 : static_cast<unsigned>(Opt.Jobs);
@@ -335,10 +343,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   constexpr double LowerBoundSafety = 0.75;
   const PerfOptions ProbeOpts = PerfOptions::lowerBoundProbe();
 
-  // Builds one candidate and decides whether it goes on to the probe:
+  // Builds one candidate and decides whether it goes on to simulation:
   // compile, occupancy, static-prune verdict. \returns false when the
   // candidate drops out here.
   auto Prepare = [&](Candidate &C) {
+    WallTimer CompileTimer;
     std::optional<bool> Violation;
     if (C.N == 1 && C.Mm == 1 && C.Layout.identity()) {
       C.Kernel = Probe; // already built for the plan probe
@@ -352,38 +361,49 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
           Naive, Opt, C.N, C.Mm, nullptr, &C.Camp,
           LayoutMode ? &C.Layout : nullptr, nullptr, &Violation);
     }
-    if (!C.Kernel)
-      return false;
-    C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
-    C.OccInfeasible = C.Occ.Infeasible;
-    if (C.OccInfeasible)
-      return false;
+    bool Ready = C.Kernel != nullptr;
+    if (Ready) {
+      C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
+      C.OccInfeasible = C.Occ.Infeasible;
+      Ready = !C.OccInfeasible;
+    }
     // A Violation verdict means the variant provably faults at runtime —
     // its performance run could never succeed, so skip probe and
     // simulation outright. The fuzz oracle's static/dynamic differential
     // keeps this sound, which is what guarantees identical winners with
     // pruning on or off. A verified variant brings the verdict from its
     // Verify step; the paths that never verify run the engine here.
-    if (Opt.StaticPrune &&
+    if (Ready && Opt.StaticPrune &&
         (Violation ? *Violation : runDataflow(*C.Kernel).anyViolation())) {
       C.StaticallyPruned = true;
-      return false;
+      Ready = false;
     }
-    return true;
+    C.CompileWallMs += CompileTimer.elapsedMs();
+    return Ready;
   };
 
-  // Phase A: compile every candidate in its own Module/ASTContext arena
-  // with its own DiagnosticsEngine, compute occupancy and the static
-  // verdict, and (unless the search is exhaustive) estimate a lower bound
-  // with a cheap probe run.
-  Pool.parallelFor(Cands.size(), [&](size_t I) {
+  auto FullSim = [&](Candidate &C) {
+    if (compileCancelled(Opt))
+      return; // cancelled: skip the run; the result is discarded below
+    WallTimer SimTimer;
+    BufferSet Buffers;
+    DiagnosticsEngine RunDiags;
+    C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf);
+    C.SimWallMs += SimTimer.elapsedMs();
+    C.Simulated = true;
+    if (!C.Perf.Valid)
+      C.SimLog = strFormat("b%d t%d: %s", C.N, C.Mm, RunDiags.str().c_str());
+  };
+
+  // Phase 1, step A: compile every identity candidate in its own
+  // Module/ASTContext arena with its own DiagnosticsEngine, compute
+  // occupancy and the static verdict, and (unless the search is
+  // exhaustive) estimate a lower bound with a cheap probe run.
+  Pool.parallelFor(MergePoints, [&](size_t I) {
     Candidate &C = Cands[I];
     if (compileCancelled(Opt))
       return; // cancelled: leave the slot unbuilt, discarded below
-    WallTimer CompileTimer;
-    const bool Ready = Prepare(C);
-    C.CompileWallMs += CompileTimer.elapsedMs();
-    if (!Ready || Opt.ExhaustiveSearch)
+    if (!Prepare(C) || Opt.ExhaustiveSearch)
       return;
     WallTimer ProbeTimer;
     BufferSet Buffers;
@@ -395,6 +415,84 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     if (LB.Valid)
       C.LowerBoundMs = LB.TimeMs * LowerBoundSafety;
   });
+
+  std::vector<size_t> Runnable;
+  for (size_t I = 0; I < MergePoints; ++I)
+    if (Cands[I].Kernel && !Cands[I].OccInfeasible &&
+        !Cands[I].StaticallyPruned)
+      Runnable.push_back(I);
+
+  // Phase 1, step B: full performance runs. The Champions candidates with
+  // the smallest lower bounds are measured first, and the worst of their
+  // times prunes every candidate whose bound exceeds it. A pruned
+  // candidate's true time is >= its bound > that time, so at least
+  // Champions measured candidates beat it: pruning changes neither the
+  // winner nor — when the layout family follows — the Champions best
+  // merge points, as long as the bound holds (the ExhaustiveSearch tests
+  // enforce exactly that).
+  const size_t Champions = Family ? FamilyMergePoints : 1;
+  double Threshold = std::numeric_limits<double>::infinity();
+  if (Opt.ExhaustiveSearch || Runnable.size() <= Champions) {
+    Pool.parallelFor(Runnable.size(),
+                     [&](size_t I) { FullSim(Cands[Runnable[I]]); });
+  } else {
+    std::stable_sort(Runnable.begin(), Runnable.end(),
+                     [&](size_t A, size_t B) {
+                       return Cands[A].LowerBoundMs < Cands[B].LowerBoundMs;
+                     });
+    Pool.parallelFor(Champions,
+                     [&](size_t I) { FullSim(Cands[Runnable[I]]); });
+    Threshold = 0;
+    for (size_t I = 0; I < Champions; ++I) {
+      const Candidate &C = Cands[Runnable[I]];
+      Threshold = std::max(Threshold,
+                           C.Perf.Valid
+                               ? C.Perf.TimeMs
+                               : std::numeric_limits<double>::infinity());
+    }
+    std::vector<size_t> Survivors;
+    for (size_t I = Champions; I < Runnable.size(); ++I) {
+      Candidate &C = Cands[Runnable[I]];
+      if (C.LowerBoundMs > Threshold)
+        C.Pruned = true;
+      else
+        Survivors.push_back(Runnable[I]);
+    }
+    Pool.parallelFor(Survivors.size(),
+                     [&](size_t I) { FullSim(Cands[Survivors[I]]); });
+  }
+
+  // Phase 2 (paper §3.7: merge factors first, partition camping after):
+  // the other family points are built only at the FamilyMergePoints
+  // fastest identity merge points, ties kept in slot order. Their runs
+  // are full ones with no probe pruning: the probe is not a bound on
+  // every kernel, and a pruned layout point could be the winner.
+  if (Family) {
+    std::vector<size_t> Fastest;
+    for (size_t I = 0; I < MergePoints; ++I)
+      if (Cands[I].Simulated && Cands[I].Perf.Valid)
+        Fastest.push_back(I);
+    std::stable_sort(Fastest.begin(), Fastest.end(),
+                     [&](size_t A, size_t B) {
+                       return Cands[A].Perf.TimeMs < Cands[B].Perf.TimeMs;
+                     });
+    Fastest.resize(std::min(Fastest.size(), FamilyMergePoints));
+    std::sort(Fastest.begin(), Fastest.end());
+    for (size_t L = 1; L < Layouts.size(); ++L)
+      for (size_t I : Fastest) {
+        Candidate &C = Cands.emplace_back();
+        C.Layout = Layouts[L];
+        C.N = Cands[I].N;
+        C.Mm = Cands[I].Mm;
+      }
+    Pool.parallelFor(Cands.size() - MergePoints, [&](size_t I) {
+      Candidate &C = Cands[MergePoints + I];
+      if (compileCancelled(Opt))
+        return;
+      if (Prepare(C))
+        FullSim(C);
+    });
+  }
 
   // Replay per-task diagnostics into the caller's engine in slot order
   // (identical text for every lane count). Exact duplicates are emitted
@@ -411,57 +509,6 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
           Diags.report(D.Kind, D.Loc, D.Message);
   }
 
-  auto FullSim = [&](size_t I) {
-    Candidate &C = Cands[I];
-    if (compileCancelled(Opt))
-      return; // cancelled: skip the run; the result is discarded below
-    WallTimer SimTimer;
-    BufferSet Buffers;
-    DiagnosticsEngine RunDiags;
-    C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf);
-    C.SimWallMs += SimTimer.elapsedMs();
-    C.Simulated = true;
-    if (!C.Perf.Valid)
-      C.SimLog = strFormat("b%d t%d: %s", C.N, C.Mm, RunDiags.str().c_str());
-  };
-
-  std::vector<size_t> Runnable;
-  for (size_t I = 0; I < Cands.size(); ++I)
-    if (Cands[I].Kernel && !Cands[I].OccInfeasible &&
-        !Cands[I].StaticallyPruned)
-      Runnable.push_back(I);
-
-  // Phase B: full performance runs. The candidate with the smallest lower
-  // bound becomes the champion; it is measured first and its time prunes
-  // every candidate whose bound it beats. A pruned candidate's true time
-  // is >= its bound > the champion's time >= the final winner's time, so
-  // pruning cannot change the winner as long as the bound holds (the
-  // ExhaustiveSearch tests enforce exactly that).
-  double Threshold = std::numeric_limits<double>::infinity();
-  if (Opt.ExhaustiveSearch || Runnable.size() <= 1) {
-    Pool.parallelFor(Runnable.size(),
-                     [&](size_t I) { FullSim(Runnable[I]); });
-  } else {
-    std::stable_sort(Runnable.begin(), Runnable.end(),
-                     [&](size_t A, size_t B) {
-                       return Cands[A].LowerBoundMs < Cands[B].LowerBoundMs;
-                     });
-    const size_t Champion = Runnable.front();
-    FullSim(Champion);
-    if (Cands[Champion].Perf.Valid)
-      Threshold = Cands[Champion].Perf.TimeMs;
-    std::vector<size_t> Survivors;
-    for (size_t I = 1; I < Runnable.size(); ++I) {
-      Candidate &C = Cands[Runnable[I]];
-      if (C.LowerBoundMs > Threshold)
-        C.Pruned = true;
-      else
-        Survivors.push_back(Runnable[I]);
-    }
-    Pool.parallelFor(Survivors.size(),
-                     [&](size_t I) { FullSim(Survivors[I]); });
-  }
-
   // Phase C: deterministic reduction in canonical order; strict < keeps
   // the earliest candidate on ties, exactly like the serial loop did.
   PartitionCampResult BestCamp;
@@ -471,9 +518,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     // Keep the legacy log format for legacy-shaped searches; tag the
     // layout only when the family was actually enumerated.
     const std::string Tag =
-        Layouts.size() > 1
-            ? strFormat("%s b%d t%d", C.Layout.name(), C.N, C.Mm)
-            : strFormat("b%d t%d", C.N, C.Mm);
+        Family ? strFormat("%s b%d t%d", C.Layout.name(), C.N, C.Mm)
+               : strFormat("b%d t%d", C.N, C.Mm);
     VariantResult VR;
     VR.Kernel = C.Kernel;
     VR.BlockMergeN = C.N;
@@ -494,9 +540,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
                            Tag.c_str());
     } else if (C.Pruned) {
       VR.Pruned = true;
-      Out.Log += strFormat(
-          "%s: pruned (lower bound %.4f ms > best %.4f ms)\n", Tag.c_str(),
-          C.LowerBoundMs, Threshold);
+      Out.Log += strFormat("%s: pruned (lower bound %.4f ms > %s %.4f ms)\n",
+                           Tag.c_str(), C.LowerBoundMs,
+                           Champions > 1 ? "threshold" : "best", Threshold);
     } else {
       VR.Perf = C.Perf;
       VR.Feasible = C.Perf.Valid;

@@ -74,17 +74,18 @@ struct CompileOptions {
   bool Merge = true;
   bool Prefetch = true;
   bool PartitionElim = true;
-  /// Search the bounded affine layout family (core/AffineLayout) as an
-  /// extra — outermost — dimension of the design space, scoring every
-  /// enumerated index-space permutation with the full analytical model
-  /// instead of applying the legacy partition-camping heuristic. Off:
-  /// candidates run the legacy eliminatePartitionCamping arm (kept for
-  /// the bench baseline and Figure 12 dissection). Ignored when
-  /// PartitionElim is off. The family is only enumerated when camping is
-  /// detected or possible under block merging; a kernel that camps at no
-  /// probed stride searches the identity alone. One that camps only under
-  /// merging still searches the family (mm: 4 points, 80 candidates
-  /// instead of 20, identity wins).
+  /// Score the bounded affine layout family (core/AffineLayout) with the
+  /// full analytical model instead of applying the legacy
+  /// partition-camping heuristic. The family is a post-pass (paper
+  /// Section 3.7): the merge grid is searched at the identity layout,
+  /// then every other family point is compiled and fully simulated at
+  /// the two best identity merge points only. Off: candidates run the
+  /// legacy eliminatePartitionCamping arm (kept for the bench baseline
+  /// and Figure 12 dissection). Ignored when PartitionElim is off. The
+  /// family is only enumerated when camping is detected or possible
+  /// under block merging; a kernel that camps at no probed stride
+  /// searches the identity alone (mm camps only under merging: 4 points,
+  /// 26 candidates, identity wins).
   bool LayoutSearch = true;
   /// Algebraic cleanup of the emitted code (understandability).
   bool Fold = true;
@@ -322,7 +323,9 @@ public:
 
   /// Full compilation: enumerates merge-factor candidates, test-runs each
   /// version on the simulator (the paper's empirical search) and returns
-  /// the fastest feasible one.
+  /// the fastest feasible one. With layout search on, the non-identity
+  /// layouts are then scored at the two fastest merge points (see
+  /// CompileOptions::LayoutSearch).
   CompileOutput compile(const KernelFunction &Naive,
                         const CompileOptions &Opt = CompileOptions());
 

@@ -55,33 +55,6 @@ uint64_t gpuc::simCacheKey(const KernelFunction &K, const DeviceSpec &Dev,
   return H;
 }
 
-bool SimCache::lookup(uint64_t Key, PerfResult &Out) {
-  Stripe &S = stripeFor(Key);
-  {
-    std::lock_guard<std::mutex> L(S.Mu);
-    auto It = S.Entries.find(Key);
-    if (It != S.Entries.end()) {
-      Out = It->second;
-      Hits.fetch_add(1);
-      return true;
-    }
-  }
-  // Second tier, outside the lock: backend loads do file I/O. Two threads
-  // may both miss here and recompute; the first insert wins, as always.
-  if (SimCacheBackend *B = Backend.load()) {
-    if (B->load(Key, Out)) {
-      DiskHits.fetch_add(1);
-      // Promote into memory without writing back to the tier the result
-      // just came from.
-      std::lock_guard<std::mutex> L(S.Mu);
-      S.Entries.emplace(Key, Out);
-      return true;
-    }
-  }
-  Misses.fetch_add(1);
-  return false;
-}
-
 void SimCache::insert(uint64_t Key, const PerfResult &Result) {
   Stripe &S = stripeFor(Key);
   {
@@ -90,6 +63,58 @@ void SimCache::insert(uint64_t Key, const PerfResult &Result) {
   }
   if (SimCacheBackend *B = Backend.load())
     B->store(Key, Result);
+}
+
+PerfResult SimCache::run(uint64_t Key,
+                         const std::function<PerfResult()> &Compute) {
+  Stripe &S = stripeFor(Key);
+  {
+    std::unique_lock<std::mutex> L(S.Mu);
+    bool Waited = false;
+    for (;;) {
+      auto It = S.Entries.find(Key);
+      if (It != S.Entries.end()) {
+        Hits.fetch_add(1);
+        return It->second;
+      }
+      if (!S.Pending.count(Key))
+        break;
+      if (!Waited)
+        Waits.fetch_add(1);
+      Waited = true;
+      S.PendingDone.wait(L);
+    }
+    S.Pending.insert(Key);
+  }
+  // This call owns the key until it returns (or throws): every way out
+  // releases it and wakes the lanes waiting on it.
+  struct Claim {
+    Stripe &S;
+    uint64_t Key;
+    ~Claim() {
+      {
+        std::lock_guard<std::mutex> L(S.Mu);
+        S.Pending.erase(Key);
+      }
+      S.PendingDone.notify_all();
+    }
+  } Owned{S, Key};
+
+  // The backend is read outside the lock: its loads do file I/O.
+  PerfResult R;
+  if (SimCacheBackend *B = Backend.load(); B && B->load(Key, R)) {
+    DiskHits.fetch_add(1);
+    // Promote into memory without writing back to the tier the result
+    // just came from.
+    std::lock_guard<std::mutex> L(S.Mu);
+    S.Entries.emplace(Key, R);
+    return R;
+  }
+  Misses.fetch_add(1);
+  R = Compute();
+  if (R.Valid)
+    insert(Key, R);
+  return R;
 }
 
 size_t SimCache::size() const {
@@ -109,4 +134,5 @@ void SimCache::clear() {
   Hits.store(0);
   Misses.store(0);
   DiskHits.store(0);
+  Waits.store(0);
 }

@@ -16,7 +16,10 @@
 /// hash of the DeviceSpec and the PerfOptions — kernels that differ only
 /// in generated temp names or in the kernel's own name share an entry.
 /// The cache is thread-safe; the parallel search shares one instance
-/// across variant-simulation tasks.
+/// across variant-simulation tasks. run() is single-flight: when lanes
+/// miss on the same key at once, the first simulates and the others wait
+/// for its result, so every key is simulated once and the hit/miss
+/// counters do not depend on the lane count.
 ///
 /// The table is two-tier: an optional SimCacheBackend (cache/DiskCache is
 /// the persistent implementation) backs the in-memory map. A memory miss
@@ -33,9 +36,12 @@
 #include "sim/Simulator.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace gpuc {
 
@@ -78,13 +84,18 @@ public:
 /// for the duration of a map find + copy.
 class SimCache {
 public:
-  /// \returns true and fills \p Out when \p Key is present in memory or
-  /// in the backend (backend hits are promoted into memory).
-  bool lookup(uint64_t Key, PerfResult &Out);
-
   /// Records \p Result under \p Key (first write wins) and writes it
   /// through to the backend.
   void insert(uint64_t Key, const PerfResult &Result);
+
+  /// The memoized result for \p Key: from memory, else from the backend
+  /// (promoted into memory), else computed by \p Compute. Only valid
+  /// results are recorded (a failed run carries diagnostics that a hit
+  /// would silently drop). Single-flight: while one lane computes a key,
+  /// other lanes asking for it wait and count a hit when the result
+  /// lands. If the run fails and records nothing, the next waiter
+  /// computes the key itself.
+  PerfResult run(uint64_t Key, const std::function<PerfResult()> &Compute);
 
   /// Attaches the second tier (null detaches). Attach before sharing the
   /// cache across threads; the pointer itself is read atomically.
@@ -97,6 +108,8 @@ public:
   uint64_t misses() const { return Misses.load(); }
   /// Memory misses answered by the backend.
   uint64_t diskHits() const { return DiskHits.load(); }
+  /// run() calls that waited for another lane's run of the same key.
+  uint64_t waits() const { return Waits.load(); }
   size_t size() const;
 
   /// Drops the in-memory tier and resets counters; the backend's contents
@@ -110,6 +123,10 @@ private:
   struct Stripe {
     mutable std::mutex Mu;
     std::unordered_map<uint64_t, PerfResult> Entries;
+    /// Keys a run() call is computing right now, and the signal that one
+    /// of them finished.
+    std::unordered_set<uint64_t> Pending;
+    std::condition_variable PendingDone;
   };
   Stripe &stripeFor(uint64_t Key) {
     // The key is already a well-mixed hash; fold the high bits in so
@@ -122,6 +139,7 @@ private:
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> DiskHits{0};
+  std::atomic<uint64_t> Waits{0};
 };
 
 } // namespace gpuc

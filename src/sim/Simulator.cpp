@@ -69,14 +69,17 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
                                      BufferSet &Buffers,
                                      DiagnosticsEngine &Diags,
                                      const PerfOptions &Options) const {
-  uint64_t Key = 0;
-  if (Cache) {
-    Key = simCacheKey(K, Dev, Options);
-    PerfResult Cached;
-    if (Cache->lookup(Key, Cached))
-      return Cached;
-  }
+  if (!Cache)
+    return simulatePerformance(K, Buffers, Diags, Options);
+  return Cache->run(simCacheKey(K, Dev, Options), [&] {
+    return simulatePerformance(K, Buffers, Diags, Options);
+  });
+}
 
+PerfResult Simulator::simulatePerformance(const KernelFunction &K,
+                                          BufferSet &Buffers,
+                                          DiagnosticsEngine &Diags,
+                                          const PerfOptions &Options) const {
   PerfResult R;
   R.Occ = computeOccupancy(Dev, K);
   if (R.Occ.Infeasible) {
@@ -168,9 +171,5 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
   R.Timing = estimateTime(Dev, R.Stats, R.Occ, NumBlocks);
   R.TimeMs = R.Timing.TotalMs;
   R.Valid = true;
-  // Memoize successful runs only: failed runs carry diagnostics, which a
-  // cache hit would silently drop.
-  if (Cache)
-    Cache->insert(Key, R);
   return R;
 }

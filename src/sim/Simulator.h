@@ -150,6 +150,11 @@ public:
   }
 
 private:
+  /// runPerformance without the memo table.
+  PerfResult simulatePerformance(const KernelFunction &K, BufferSet &Buffers,
+                                 DiagnosticsEngine &Diags,
+                                 const PerfOptions &Options) const;
+
   void noteFallback(const Interpreter &Interp) const {
     if (Interp.usedScalarFallback())
       Fallbacks.fetch_add(1, std::memory_order_relaxed);

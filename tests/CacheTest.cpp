@@ -383,6 +383,16 @@ TEST(DiskCacheCorruption, CorruptTextEntryFallsBackToSearch) {
 // Two-tier SimCache
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A SimCache::run body for keys a tier must already hold.
+PerfResult mustNotRecompute() {
+  ADD_FAILURE() << "the cache recomputed a stored key";
+  return PerfResult();
+}
+
+} // namespace
+
 TEST(TwoTierSimCache, BackendHitIsPromotedIntoMemory) {
   TempDir Tmp;
   DiskCache Disk(Tmp.Path);
@@ -390,15 +400,14 @@ TEST(TwoTierSimCache, BackendHitIsPromotedIntoMemory) {
 
   SimCache Mem;
   Mem.setBackend(&Disk);
-  PerfResult R;
-  ASSERT_TRUE(Mem.lookup(11, R));
+  ASSERT_TRUE(Mem.run(11, mustNotRecompute).Valid);
   EXPECT_EQ(Mem.hits(), 0u);
   EXPECT_EQ(Mem.diskHits(), 1u);
   EXPECT_EQ(Mem.misses(), 0u);
   // Promotion does not write the entry back to disk...
   EXPECT_EQ(Disk.stats().Writes, 1u);
   // ...and the second lookup is served from memory.
-  ASSERT_TRUE(Mem.lookup(11, R));
+  ASSERT_TRUE(Mem.run(11, mustNotRecompute).Valid);
   EXPECT_EQ(Mem.hits(), 1u);
   EXPECT_EQ(Disk.stats().SimHits, 1u);
 }
@@ -408,8 +417,8 @@ TEST(TwoTierSimCache, InsertWritesThroughAndMissCountsBothTiers) {
   DiskCache Disk(Tmp.Path);
   SimCache Mem;
   Mem.setBackend(&Disk);
-  PerfResult R;
-  EXPECT_FALSE(Mem.lookup(5, R));
+  // A failed run is a miss in both tiers and records nothing.
+  EXPECT_FALSE(Mem.run(5, [] { return PerfResult(); }).Valid);
   EXPECT_EQ(Mem.misses(), 1u);
   EXPECT_EQ(Disk.stats().SimMisses, 1u);
   Mem.insert(5, samplePerf());
@@ -417,7 +426,7 @@ TEST(TwoTierSimCache, InsertWritesThroughAndMissCountsBothTiers) {
   // A fresh memory tier over the same disk sees the write-through.
   SimCache Fresh;
   Fresh.setBackend(&Disk);
-  ASSERT_TRUE(Fresh.lookup(5, R));
+  ASSERT_TRUE(Fresh.run(5, mustNotRecompute).Valid);
   EXPECT_EQ(Fresh.diskHits(), 1u);
 }
 
@@ -429,8 +438,8 @@ TEST(TwoTierSimCache, ClearKeepsTheBackend) {
   Mem.insert(3, samplePerf());
   Mem.clear();
   EXPECT_EQ(Mem.size(), 0u);
-  PerfResult R;
-  EXPECT_TRUE(Mem.lookup(3, R)) << "clear() wiped the persistent tier";
+  EXPECT_TRUE(Mem.run(3, mustNotRecompute).Valid)
+      << "clear() wiped the persistent tier";
   EXPECT_EQ(Mem.diskHits(), 1u);
 }
 

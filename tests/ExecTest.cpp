@@ -24,10 +24,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
 using namespace gpuc;
@@ -158,20 +161,92 @@ TEST(KernelHash, KernelNameDoesNotAffectHash) {
 
 TEST(SimCacheTest, LookupInsertAndCounters) {
   SimCache Cache;
-  PerfResult Out;
-  EXPECT_FALSE(Cache.lookup(42, Out));
-  EXPECT_EQ(Cache.misses(), 1u);
   PerfResult R;
   R.Valid = true;
   R.TimeMs = 1.5;
-  Cache.insert(42, R);
-  EXPECT_TRUE(Cache.lookup(42, Out));
+  int Runs = 0;
+  auto Compute = [&] {
+    ++Runs;
+    return R;
+  };
+  EXPECT_DOUBLE_EQ(Cache.run(42, Compute).TimeMs, 1.5);
+  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_DOUBLE_EQ(Cache.run(42, Compute).TimeMs, 1.5);
+  EXPECT_EQ(Runs, 1);
   EXPECT_EQ(Cache.hits(), 1u);
-  EXPECT_DOUBLE_EQ(Out.TimeMs, 1.5);
   EXPECT_EQ(Cache.size(), 1u);
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.hits(), 0u);
+}
+
+namespace {
+
+/// A run() body for the single-flight tests: it holds its key until a
+/// second lane is parked on it (bounded, so a regression fails instead of
+/// hanging), then returns \p Result.
+std::function<PerfResult()> runHeldUntilWaiter(SimCache &Cache,
+                                               std::atomic<int> &Runs,
+                                               PerfResult Result) {
+  return [&Cache, &Runs, Result] {
+    ++Runs;
+    for (int I = 0; I < 10000 && Cache.waits() == 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Result;
+  };
+}
+
+} // namespace
+
+TEST(SimCacheTest, ConcurrentMissesSimulateOnce) {
+  SimCache Cache;
+  std::atomic<int> Runs{0};
+  PerfResult Ok;
+  Ok.Valid = true;
+  Ok.TimeMs = 2.5;
+  PerfResult First, Second;
+  std::thread A(
+      [&] { First = Cache.run(7, runHeldUntilWaiter(Cache, Runs, Ok)); });
+  // The second lane asks only once the first one owns the key.
+  while (Runs.load() == 0)
+    std::this_thread::yield();
+  std::thread B(
+      [&] { Second = Cache.run(7, runHeldUntilWaiter(Cache, Runs, Ok)); });
+  A.join();
+  B.join();
+  EXPECT_EQ(Runs.load(), 1);
+  EXPECT_EQ(Cache.waits(), 1u);
+  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(Cache.hits(), 1u);
+  EXPECT_TRUE(Second.Valid);
+  EXPECT_DOUBLE_EQ(First.TimeMs, 2.5);
+  EXPECT_DOUBLE_EQ(Second.TimeMs, 2.5);
+}
+
+TEST(SimCacheTest, WaiterComputesWhenTheFirstRunFails) {
+  SimCache Cache;
+  std::atomic<int> Runs{0};
+  PerfResult Failed; // Valid = false: nothing is recorded
+  PerfResult Ok;
+  Ok.Valid = true;
+  Ok.TimeMs = 4.0;
+  PerfResult First, Second;
+  std::thread A([&] {
+    First = Cache.run(9, runHeldUntilWaiter(Cache, Runs, Failed));
+  });
+  while (Runs.load() == 0)
+    std::this_thread::yield();
+  std::thread B(
+      [&] { Second = Cache.run(9, runHeldUntilWaiter(Cache, Runs, Ok)); });
+  A.join();
+  B.join();
+  EXPECT_EQ(Runs.load(), 2);
+  EXPECT_EQ(Cache.waits(), 1u);
+  EXPECT_EQ(Cache.misses(), 2u);
+  EXPECT_EQ(Cache.hits(), 0u);
+  EXPECT_FALSE(First.Valid);
+  EXPECT_TRUE(Second.Valid);
+  EXPECT_EQ(Cache.size(), 1u);
 }
 
 TEST(SimCacheTest, HitsOnFigure12StagePrefixes) {

@@ -13,9 +13,12 @@
 #include "core/AffineLayout.h"
 #include "core/Compiler.h"
 #include "core/Report.h"
+#include "support/StringUtils.h"
 
+#include <fstream>
 #include <gtest/gtest.h>
 #include <set>
+#include <sstream>
 
 using namespace gpuc;
 
@@ -234,4 +237,75 @@ TEST(LayoutSearch, CacheKeyDistinguishesLayoutMode) {
   CompileOptions Off;
   Off.LayoutSearch = false;
   EXPECT_NE(compileCacheKey(*Naive, On), compileCacheKey(*Naive, Off));
+}
+
+//===----------------------------------------------------------------------===//
+// Paper-winner pins: the Table-1 kernels at bench_fig11's sizes on both
+// devices (the benchmark's 20 cold jobs). Changing how the search walks
+// the design space must keep every winner: layout, merge factors, modeled
+// time and emitted text. On a mismatch the actual table is written next
+// to the test binary (paper_winners.jobs<N>.actual.txt); copy it over
+// tests/fixtures/paper_winners.txt only for an intended change of winners.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+long long fig11Size(Algo A) {
+  switch (A) {
+  case Algo::RD:
+    return 1 << 21;
+  case Algo::VV:
+    return 1 << 20;
+  case Algo::STRSM:
+    return 512;
+  default:
+    return 1024;
+  }
+}
+
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+void expectPinnedPaperWinners(int Jobs) {
+  std::string Table;
+  for (const DeviceSpec &Dev : {DeviceSpec::gtx280(), DeviceSpec::gtx8800()})
+    for (Algo A : table1Algos()) {
+      const long long N = fig11Size(A);
+      Snapshot S = runSearch(A, N, Dev, true, Jobs);
+      ASSERT_TRUE(S.Ok) << algoInfo(A).Name;
+      Table += strFormat("%s-%lld/%s %s b%d t%d %.6f %016llx\n",
+                         algoInfo(A).Name, N, Dev.Name.c_str(),
+                         S.Layout.c_str(), S.BestN, S.BestM, S.BestMs,
+                         static_cast<unsigned long long>(fnv1a(S.BestText)));
+    }
+  const std::string Pinned = readFile(GPUC_PAPER_WINNERS);
+  if (Table == Pinned)
+    return;
+  std::ofstream(strFormat("paper_winners.jobs%d.actual.txt", Jobs),
+                std::ios::binary)
+      << Table;
+  EXPECT_EQ(Table, Pinned);
+}
+
+} // namespace
+
+TEST(PaperWinners, SerialSearchMatchesPinnedWinners) {
+  expectPinnedPaperWinners(1);
+}
+
+TEST(PaperWinners, ParallelSearchMatchesPinnedWinners) {
+  expectPinnedPaperWinners(8);
 }

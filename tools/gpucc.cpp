@@ -64,9 +64,11 @@ void usage() {
       "  --no-vectorize --no-coalesce --no-merge --no-prefetch\n"
       "  --no-partition --no-fold  disable pipeline stages\n"
       "  --no-layout-search        apply the legacy partition-camping\n"
-      "                            heuristic instead of searching the\n"
-      "                            affine layout family (--report shows\n"
-      "                            the searched points and the winner)\n"
+      "                            heuristic at every merge point instead\n"
+      "                            of scoring the affine layout family at\n"
+      "                            the two best identity merge points\n"
+      "                            (--report shows the searched points\n"
+      "                            and the winner)\n"
       "  --report                  print the analysis report to stderr\n"
       "  --validate                run naive and optimized kernels on the\n"
       "                            simulator and compare outputs\n"
